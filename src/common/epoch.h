@@ -6,7 +6,7 @@
 // under a mutex whose critical section never grows with data size — and
 // keep scanning that snapshot for as long as they hold the pin, entirely
 // unaffected by concurrent retraining. Writers build the next epoch
-// outside any lock (shadow copy on the home group), then publish() it:
+// outside any lock (a private copy on the home group), then publish() it:
 // an O(1) pointer swap. The old epoch is not freed at the swap; it is
 // *retired* — destroyed by whichever thread drops the last pin, observable
 // through stats().retired. Readers therefore never block on retraining

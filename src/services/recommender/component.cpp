@@ -35,43 +35,50 @@ CfPartial CfComponentWork::after_sets(const std::vector<std::size_t>& ranked,
 // ---------------------------------------------------------------------------
 // RecommenderSnapshot
 
+RecommenderSnapshot::Shard::Shard(synopsis::SparseRows users_in,
+                                  synopsis::BuildConfig config_in,
+                                  synopsis::SynopsisStructure structure_in,
+                                  synopsis::Synopsis synopsis_in)
+    : users(std::move(users_in)),
+      config(config_in),
+      structure(std::move(structure_in)),
+      synopsis(std::move(synopsis_in)) {
+  const std::size_t n = users.rows();
+  user_means.assign(n, 0.0);
+  raters.assign(users.cols(), {});
+  for (std::uint32_t u = 0; u < n; ++u) {
+    user_means[u] = vector_mean(users.row(u));
+    for (const auto& [item, rating] : users.row(u)) {
+      (void)rating;
+      raters[item].push_back(u);
+    }
+  }
+  user_group.assign(n, 0);
+  const auto& groups = structure.index.groups();
+  for (std::uint32_t g = 0; g < groups.size(); ++g) {
+    for (auto member : groups[g].members) user_group[member] = g;
+  }
+  agg_means.assign(synopsis.size(), 0.0);
+  for (std::size_t g = 0; g < synopsis.size(); ++g) {
+    agg_means[g] = vector_mean(synopsis.points[g].features);
+  }
+}
+
 RecommenderSnapshot::RecommenderSnapshot(synopsis::SparseRows users,
                                          synopsis::BuildConfig config,
                                          synopsis::SynopsisStructure structure,
                                          synopsis::Synopsis synopsis)
-    : users_(std::move(users)),
-      config_(config),
-      structure_(std::move(structure)),
-      synopsis_(std::move(synopsis)) {
-  build_derived();
-}
+    : RecommenderSnapshot(std::make_shared<const Shard>(
+          std::move(users), config, std::move(structure),
+          std::move(synopsis))) {}
 
-void RecommenderSnapshot::build_derived() {
-  const std::size_t n = users_.rows();
-  user_means_.assign(n, 0.0);
-  raters_.assign(users_.cols(), {});
-  for (std::uint32_t u = 0; u < n; ++u) {
-    user_means_[u] = vector_mean(users_.row(u));
-    for (const auto& [item, rating] : users_.row(u)) {
-      (void)rating;
-      raters_[item].push_back(u);
-    }
-  }
-  user_group_.assign(n, 0);
-  const auto& groups = structure_.index.groups();
-  for (std::uint32_t g = 0; g < groups.size(); ++g) {
-    for (auto member : groups[g].members) user_group_[member] = g;
-  }
-  agg_means_.assign(synopsis_.size(), 0.0);
-  for (std::size_t g = 0; g < synopsis_.size(); ++g) {
-    agg_means_[g] = vector_mean(synopsis_.points[g].features);
-  }
-}
+RecommenderSnapshot::RecommenderSnapshot(std::shared_ptr<const Shard> shard)
+    : shard_(std::move(shard)) {}
 
 std::vector<std::uint32_t> RecommenderSnapshot::group_sizes() const {
   std::vector<std::uint32_t> sizes;
-  sizes.reserve(structure_.index.size());
-  for (const auto& g : structure_.index.groups())
+  sizes.reserve(shard_->structure.index.size());
+  for (const auto& g : shard_->structure.index.groups())
     sizes.push_back(static_cast<std::uint32_t>(g.members.size()));
   return sizes;
 }
@@ -79,11 +86,12 @@ std::vector<std::uint32_t> RecommenderSnapshot::group_sizes() const {
 double RecommenderSnapshot::user_weight(const CfRequest& request,
                                         std::uint32_t user) const {
   return pearson_weight(request.ratings, request.rating_mean,
-                        users_.row(user), user_means_[user]);
+                        shard_->users.row(user), shard_->user_means[user]);
 }
 
 CfComponentWork RecommenderSnapshot::analyze(const CfRequest& request) const {
-  const std::size_t m = synopsis_.size();
+  const Shard& s = *shard_;
+  const std::size_t m = s.synopsis.size();
   CfComponentWork work;
   work.correlations.resize(m);
   work.real_by_group.resize(m);
@@ -93,9 +101,9 @@ CfComponentWork RecommenderSnapshot::analyze(const CfRequest& request) const {
   // that "rated" the target item also contribute an approximate prediction
   // term scaled by the number of member users behind that rating.
   for (std::size_t g = 0; g < m; ++g) {
-    const auto& agg = synopsis_.points[g];
+    const auto& agg = s.synopsis.points[g];
     const double w = pearson_weight(request.ratings, request.rating_mean,
-                                    agg.features, agg_means_[g]);
+                                    agg.features, s.agg_means[g]);
     work.correlations[g] = std::abs(w);
 
     // Find the aggregated rating of the target item and how many members
@@ -111,7 +119,7 @@ CfComponentWork RecommenderSnapshot::analyze(const CfRequest& request) const {
                                  ? agg.member_count
                                  : static_cast<double>(agg.support[idx]);
       CfPartial& p = work.agg_by_group[g];
-      p.weighted_dev = backing * w * (it->second - agg_means_[g]);
+      p.weighted_dev = backing * w * (it->second - s.agg_means[g]);
       p.weight_abs = backing * std::abs(w);
       p.neighbors = static_cast<std::uint32_t>(backing);
     }
@@ -119,14 +127,14 @@ CfComponentWork RecommenderSnapshot::analyze(const CfRequest& request) const {
 
   // Exact pass, decomposed by group: only the subset users who rated the
   // target item participate in the prediction.
-  if (request.target_item < raters_.size()) {
-    for (auto v : raters_[request.target_item]) {
+  if (request.target_item < s.raters.size()) {
+    for (auto v : s.raters[request.target_item]) {
       const double w = user_weight(request, v);
       if (w == 0.0) continue;
-      const double rating_vi = synopsis::value_at(users_.row(v),
-                                                  request.target_item);
-      CfPartial& p = work.real_by_group[user_group_[v]];
-      p.weighted_dev += w * (rating_vi - user_means_[v]);
+      const double rating_vi =
+          synopsis::value_at(s.users.row(v), request.target_item);
+      CfPartial& p = work.real_by_group[s.user_group[v]];
+      p.weighted_dev += w * (rating_vi - s.user_means[v]);
       p.weight_abs += std::abs(w);
       p.neighbors += 1;
     }
@@ -135,53 +143,38 @@ CfComponentWork RecommenderSnapshot::analyze(const CfRequest& request) const {
 }
 
 void RecommenderSnapshot::save(std::ostream& os, common::Codec codec) const {
+  const Shard& s = *shard_;
   common::ArtifactWriter w(os, "RCMP", 1);
   common::ChunkWriter conf;
-  conf.u64(config_.svd.rank);
-  conf.u64(config_.svd.epochs_per_dim);
-  conf.f64(config_.svd.learning_rate);
-  conf.f64(config_.svd.regularization);
-  conf.f64(config_.size_ratio);
-  conf.u64(config_.min_groups);
+  conf.u64(s.config.svd.rank);
+  conf.u64(s.config.svd.epochs_per_dim);
+  conf.f64(s.config.svd.learning_rate);
+  conf.f64(s.config.svd.regularization);
+  conf.f64(s.config.size_ratio);
+  conf.u64(s.config.min_groups);
   w.chunk("CONF", conf);
-  synopsis::save(os, users_);
-  synopsis::save(os, structure_, codec);
-  synopsis::save(os, synopsis_);
+  synopsis::save(os, s.users);
+  synopsis::save(os, s.structure, codec);
+  synopsis::save(os, s.synopsis);
   w.finish();
 }
 
-// ---------------------------------------------------------------------------
-// RecommenderBuilder
-
-RecommenderBuilder::RecommenderBuilder(synopsis::SparseRows users,
-                                       const synopsis::BuildConfig& config,
-                                       common::ThreadPool* pool)
-    : users_(std::move(users)),
-      config_(config),
-      structure_(synopsis::SynopsisBuilder(config).build(users_, pool)),
-      synopsis_(synopsis::aggregate_all(users_, structure_.index,
-                                        synopsis::AggregationKind::kMean,
-                                        pool)) {}
-
-RecommenderBuilder::RecommenderBuilder(synopsis::SparseRows users,
-                                       synopsis::BuildConfig config,
-                                       synopsis::SynopsisStructure structure,
-                                       synopsis::Synopsis synopsis)
-    : users_(std::move(users)),
-      config_(config),
-      structure_(std::move(structure)),
-      synopsis_(std::move(synopsis)) {}
-
-synopsis::UpdateReport RecommenderBuilder::apply(
-    const synopsis::UpdateBatch& batch, common::ThreadPool* pool) {
-  synopsis::SynopsisUpdater updater(config_);
-  return updater.apply(structure_, users_, synopsis_, batch,
-                       synopsis::AggregationKind::kMean, pool);
+std::unique_ptr<const RecommenderSnapshot> RecommenderSnapshot::share() const {
+  return std::unique_ptr<const RecommenderSnapshot>(
+      new RecommenderSnapshot(shard_));
 }
 
-std::unique_ptr<const RecommenderSnapshot> RecommenderBuilder::build() const {
+std::unique_ptr<const RecommenderSnapshot> RecommenderSnapshot::with_update(
+    const synopsis::UpdateBatch& batch, common::ThreadPool* pool,
+    synopsis::UpdateReport& report) const {
+  const Shard& s = *shard_;
+  synopsis::SparseRows users(s.users, batch.entries());
+  synopsis::SynopsisStructure structure = s.structure.clone();
+  synopsis::Synopsis syn = s.synopsis;
+  report = synopsis::SynopsisUpdater(s.config).apply(
+      structure, users, syn, batch, synopsis::AggregationKind::kMean, pool);
   return std::make_unique<const RecommenderSnapshot>(
-      users_, config_, structure_.clone(), synopsis_);
+      std::move(users), s.config, std::move(structure), std::move(syn));
 }
 
 // ---------------------------------------------------------------------------
@@ -190,27 +183,33 @@ std::unique_ptr<const RecommenderSnapshot> RecommenderBuilder::build() const {
 /// Non-movable anchor behind the movable facade — see SearchComponent::Core.
 struct RecommenderComponent::Core {
   common::Mutex writer_mutex;
-  RecommenderBuilder builder AT_GUARDED_BY(writer_mutex);
   common::ThreadPool* pool AT_GUARDED_BY(writer_mutex) = nullptr;
   DeltaSink delta_sink AT_GUARDED_BY(writer_mutex);
   common::EpochSlot<RecommenderSnapshot> epoch;
-
-  explicit Core(RecommenderBuilder b) : builder(std::move(b)) {}
 };
 
-RecommenderComponent::RecommenderComponent(RecommenderBuilder builder,
-                                           common::ThreadPool* pool)
-    : core_(std::make_unique<Core>(std::move(builder))) {
+RecommenderComponent::RecommenderComponent(
+    std::unique_ptr<const RecommenderSnapshot> initial,
+    common::ThreadPool* pool)
+    : core_(std::make_unique<Core>()) {
   common::MutexLock lock(core_->writer_mutex);
   core_->pool = pool;
-  core_->epoch.publish(core_->builder.build());
+  core_->epoch.publish(std::move(initial));
 }
 
 RecommenderComponent::RecommenderComponent(synopsis::SparseRows users,
                                            const synopsis::BuildConfig& config,
                                            common::ThreadPool* pool)
-    : RecommenderComponent(
-          RecommenderBuilder(std::move(users), config, pool), pool) {}
+    : core_(std::make_unique<Core>()) {
+  synopsis::SynopsisStructure structure =
+      synopsis::SynopsisBuilder(config).build(users, pool);
+  synopsis::Synopsis syn = synopsis::aggregate_all(
+      users, structure.index, synopsis::AggregationKind::kMean, pool);
+  common::MutexLock lock(core_->writer_mutex);
+  core_->pool = pool;
+  core_->epoch.publish(std::make_unique<const RecommenderSnapshot>(
+      std::move(users), config, std::move(structure), std::move(syn)));
+}
 
 RecommenderComponent::~RecommenderComponent() = default;
 RecommenderComponent::RecommenderComponent(RecommenderComponent&&) noexcept =
@@ -268,8 +267,9 @@ synopsis::UpdateReport RecommenderComponent::update(
     const synopsis::UpdateBatch& batch) {
   common::MutexLock lock(core_->writer_mutex);
   const std::uint64_t from = core_->epoch.version();
-  synopsis::UpdateReport report = core_->builder.apply(batch, core_->pool);
-  core_->epoch.publish(core_->builder.build());
+  synopsis::UpdateReport report;
+  core_->epoch.publish(
+      core_->epoch.acquire()->with_update(batch, core_->pool, report));
   if (core_->delta_sink) {
     core_->delta_sink(batch, from, core_->epoch.version());
   }
@@ -277,15 +277,10 @@ synopsis::UpdateReport RecommenderComponent::update(
 }
 
 void RecommenderComponent::adopt(RecommenderComponent&& fresh) {
-  std::unique_ptr<Core> incoming = std::move(fresh.core_);
-  RecommenderBuilder* adopted = nullptr;
-  {
-    common::MutexLock lock(incoming->writer_mutex);
-    adopted = &incoming->builder;
-  }
+  const std::shared_ptr<const RecommenderSnapshot> incoming = fresh.snapshot();
+  fresh.core_.reset();
   common::MutexLock lock(core_->writer_mutex);
-  core_->builder = std::move(*adopted);
-  core_->epoch.publish(core_->builder.build());
+  core_->epoch.publish(incoming->share());
 }
 
 RecommenderComponent RecommenderComponent::load(std::istream& is) try {
@@ -306,8 +301,8 @@ RecommenderComponent RecommenderComponent::load(std::istream& is) try {
     auto structure = synopsis::load_structure(is);
     auto synopsis = synopsis::load_synopsis(is);
     return RecommenderComponent(
-        RecommenderBuilder(std::move(users), config, std::move(structure),
-                           std::move(synopsis)),
+        std::make_unique<const RecommenderSnapshot>(
+            std::move(users), config, std::move(structure), std::move(synopsis)),
         nullptr);
   }
   common::ArtifactReader r(is, "RCMP");
@@ -328,8 +323,8 @@ RecommenderComponent RecommenderComponent::load(std::istream& is) try {
   auto synopsis = synopsis::load_synopsis(is);
   r.finish();
   return RecommenderComponent(
-      RecommenderBuilder(std::move(users), config, std::move(structure),
-                         std::move(synopsis)),
+      std::make_unique<const RecommenderSnapshot>(
+          std::move(users), config, std::move(structure), std::move(synopsis)),
       nullptr);
 } catch (const common::ArtifactError&) {
   throw;

@@ -2,11 +2,12 @@
 // the user-item rating matrix plus the synopsis built from it, and performs
 // the per-request analysis that every processing technique is evaluated on.
 //
-// Ownership model (ISSUE 8): same RCU epoch split as the search component —
-// an immutable published RecommenderSnapshot behind an EpochSlot, a mutable
-// RecommenderBuilder shadow copy on the writer side, and the
-// RecommenderComponent facade that pins snapshots for readers and
-// serializes publishes.
+// Ownership model: same single-owner RCU design as the search component —
+// the published RecommenderSnapshot behind an EpochSlot is the only owner
+// of the component's state (held behind one shared_ptr), and the
+// RecommenderComponent facade pins snapshots for readers and serializes
+// publishes. An update copies the published state once, applies the batch
+// to the copy and publishes it as a new snapshot.
 #pragma once
 
 #include <cstdint>
@@ -48,17 +49,21 @@ struct CfComponentWork {
 /// snapshot are only meaningful against that same snapshot.
 class RecommenderSnapshot {
  public:
+  /// Derives the per-user means, item->raters postings and user->group
+  /// map over the given state.
   RecommenderSnapshot(synopsis::SparseRows users, synopsis::BuildConfig config,
                       synopsis::SynopsisStructure structure,
                       synopsis::Synopsis synopsis);
 
-  std::size_t num_users() const { return users_.rows(); }
-  std::size_t num_items() const { return users_.cols(); }
-  std::size_t num_groups() const { return structure_.index.size(); }
-  const synopsis::BuildConfig& config() const { return config_; }
-  const synopsis::SynopsisStructure& structure() const { return structure_; }
-  const synopsis::Synopsis& synopsis() const { return synopsis_; }
-  const synopsis::SparseRows& users() const { return users_; }
+  std::size_t num_users() const { return shard_->users.rows(); }
+  std::size_t num_items() const { return shard_->users.cols(); }
+  std::size_t num_groups() const { return shard_->structure.index.size(); }
+  const synopsis::BuildConfig& config() const { return shard_->config; }
+  const synopsis::SynopsisStructure& structure() const {
+    return shard_->structure;
+  }
+  const synopsis::Synopsis& synopsis() const { return shard_->synopsis; }
+  const synopsis::SparseRows& users() const { return shard_->users; }
 
   /// Member counts per group, in group order (the sim's cost model input).
   std::vector<std::uint32_t> group_sizes() const;
@@ -72,54 +77,45 @@ class RecommenderSnapshot {
   /// Pearson weight between the request and one original user (exposed for
   /// the Fig. 4 "highly related users" evaluation).
   double user_weight(const CfRequest& request, std::uint32_t user) const;
-  double user_mean(std::uint32_t user) const { return user_means_.at(user); }
+  double user_mean(std::uint32_t user) const {
+    return shard_->user_means.at(user);
+  }
 
   /// Persists the component (subset + synopsis structure + aggregated
   /// synopsis) as an artifact-store snapshot (kind "RCMP").
   void save(std::ostream& os,
             common::Codec codec = common::default_codec()) const;
 
- private:
-  void build_derived();  // means, postings, user->group map
+  /// A new snapshot over the same (shared, uncopied) state.
+  std::unique_ptr<const RecommenderSnapshot> share() const;
 
-  synopsis::SparseRows users_;
-  synopsis::BuildConfig config_;
-  synopsis::SynopsisStructure structure_;
-  synopsis::Synopsis synopsis_;
-
-  std::vector<double> user_means_;
-  std::vector<double> agg_means_;                    // per aggregated user
-  std::vector<std::vector<std::uint32_t>> raters_;   // item -> user ids
-  std::vector<std::uint32_t> user_group_;            // user -> group index
-};
-
-/// Writer-side shadow copy; not thread-safe by itself — the facade
-/// serializes access under its writer mutex.
-class RecommenderBuilder {
- public:
-  RecommenderBuilder(synopsis::SparseRows users,
-                     const synopsis::BuildConfig& config,
-                     common::ThreadPool* pool);
-
-  /// From loaded artifact pieces (no synopsis rebuild).
-  RecommenderBuilder(synopsis::SparseRows users, synopsis::BuildConfig config,
-                     synopsis::SynopsisStructure structure,
-                     synopsis::Synopsis synopsis);
-
-  const synopsis::BuildConfig& config() const { return config_; }
-
-  /// Applies an input-data change batch to the shadow copy.
-  synopsis::UpdateReport apply(const synopsis::UpdateBatch& batch,
-                               common::ThreadPool* pool);
-
-  /// Copies the shadow state into a fresh immutable snapshot.
-  std::unique_ptr<const RecommenderSnapshot> build() const;
+  /// This snapshot with `batch` applied: copies the state once, folds the
+  /// batch into the copy and derives a new snapshot from it. This snapshot
+  /// is left untouched.
+  std::unique_ptr<const RecommenderSnapshot> with_update(
+      const synopsis::UpdateBatch& batch, common::ThreadPool* pool,
+      synopsis::UpdateReport& report) const;
 
  private:
-  synopsis::SparseRows users_;
-  synopsis::BuildConfig config_;
-  synopsis::SynopsisStructure structure_;
-  synopsis::Synopsis synopsis_;
+  /// The component's state; immutable once built, shared by snapshots.
+  struct Shard {
+    Shard(synopsis::SparseRows users, synopsis::BuildConfig config,
+          synopsis::SynopsisStructure structure, synopsis::Synopsis synopsis);
+
+    synopsis::SparseRows users;
+    synopsis::BuildConfig config;
+    synopsis::SynopsisStructure structure;
+    synopsis::Synopsis synopsis;
+
+    std::vector<double> user_means;
+    std::vector<double> agg_means;                   // per aggregated user
+    std::vector<std::vector<std::uint32_t>> raters;  // item -> user ids
+    std::vector<std::uint32_t> user_group;           // user -> group index
+  };
+
+  explicit RecommenderSnapshot(std::shared_ptr<const Shard> shard);
+
+  std::shared_ptr<const Shard> shard_;
 };
 
 class RecommenderComponent {
@@ -183,12 +179,15 @@ class RecommenderComponent {
     return snapshot()->user_mean(user);
   }
 
-  /// Applies an input-data change batch to the shadow copy, then publishes
-  /// the result as a new epoch (readers never wait on this call).
+  /// Applies an input-data change batch to a copy of the published state,
+  /// then publishes the result as a new epoch (readers never wait on this
+  /// call). If the publish fails, nothing changed: no version bump, no
+  /// delta.
   synopsis::UpdateReport update(const synopsis::UpdateBatch& batch);
 
-  /// Replaces this component's state with `fresh`'s via a new epoch (the
-  /// reload path); keeps this component's pool and delta sink.
+  /// Replaces this component's state with `fresh`'s via a new epoch that
+  /// shares it (the reload path); keeps this component's pool and delta
+  /// sink.
   void adopt(RecommenderComponent&& fresh);
 
   void save(std::ostream& os,
@@ -199,10 +198,10 @@ class RecommenderComponent {
   static RecommenderComponent load(std::istream& is);
 
  private:
-  struct Core;  // non-movable anchor (mutex + epoch slot + shadow copy)
+  struct Core;  // non-movable anchor (writer mutex + epoch slot)
 
-  explicit RecommenderComponent(RecommenderBuilder builder,
-                                common::ThreadPool* pool);
+  RecommenderComponent(std::unique_ptr<const RecommenderSnapshot> initial,
+                       common::ThreadPool* pool);
 
   std::unique_ptr<Core> core_;
 };

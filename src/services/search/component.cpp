@@ -11,69 +11,67 @@ namespace at::search {
 // ---------------------------------------------------------------------------
 // SearchSnapshot
 
+SearchSnapshot::Shard::Shard(synopsis::SparseRows docs_in,
+                             std::uint64_t doc_id_base_in,
+                             synopsis::BuildConfig config_in,
+                             ScorerParams scorer_in,
+                             synopsis::SynopsisStructure structure_in,
+                             synopsis::Synopsis synopsis_in)
+    : docs(std::move(docs_in)),
+      doc_id_base(doc_id_base_in),
+      config(config_in),
+      scorer(scorer_in),
+      structure(std::move(structure_in)),
+      synopsis(std::move(synopsis_in)),
+      index(docs, scorer) {
+  doc_group.assign(docs.rows(), 0);
+  const auto& groups = structure.index.groups();
+  for (std::uint32_t g = 0; g < groups.size(); ++g) {
+    for (auto member : groups[g].members) doc_group[member] = g;
+  }
+  agg_length.assign(synopsis.size(), 0.0);
+  for (std::size_t g = 0; g < synopsis.size(); ++g) {
+    double len = 0.0;
+    for (const auto& [term, count] : synopsis.points[g].features) len += count;
+    agg_length[g] = len;
+  }
+}
+
 SearchSnapshot::SearchSnapshot(
     synopsis::SparseRows docs, std::uint64_t doc_id_base,
     synopsis::BuildConfig config, ScorerParams scorer,
     synopsis::SynopsisStructure structure, synopsis::Synopsis synopsis,
     std::shared_ptr<const std::vector<double>> global_idf)
-    : docs_(std::move(docs)),
-      doc_id_base_(doc_id_base),
-      config_(config),
-      scorer_(scorer),
-      structure_(std::move(structure)),
-      synopsis_(std::move(synopsis)),
-      index_(docs_, scorer),
-      global_idf_(std::move(global_idf)) {
-  if (global_idf_ != nullptr) index_.set_global_idf(global_idf_);
-  build_derived();
-}
+    : SearchSnapshot(std::make_shared<const Shard>(
+                         std::move(docs), doc_id_base, config, scorer,
+                         std::move(structure), std::move(synopsis)),
+                     std::move(global_idf)) {}
 
-SearchSnapshot::SearchSnapshot(const SearchSnapshot& o)
-    : docs_(o.docs_),
-      doc_id_base_(o.doc_id_base_),
-      config_(o.config_),
-      scorer_(o.scorer_),
-      structure_(o.structure_.clone()),
-      synopsis_(o.synopsis_),
-      index_(o.index_),
-      doc_group_(o.doc_group_),
-      agg_length_(o.agg_length_),
-      global_idf_(o.global_idf_) {}
-
-void SearchSnapshot::build_derived() {
-  doc_group_.assign(docs_.rows(), 0);
-  const auto& groups = structure_.index.groups();
-  for (std::uint32_t g = 0; g < groups.size(); ++g) {
-    for (auto member : groups[g].members) doc_group_[member] = g;
-  }
-  agg_length_.assign(synopsis_.size(), 0.0);
-  for (std::size_t g = 0; g < synopsis_.size(); ++g) {
-    double len = 0.0;
-    for (const auto& [term, count] : synopsis_.points[g].features)
-      len += count;
-    agg_length_[g] = len;
-  }
-}
+SearchSnapshot::SearchSnapshot(
+    std::shared_ptr<const Shard> shard,
+    std::shared_ptr<const std::vector<double>> global_idf)
+    : shard_(std::move(shard)), global_idf_(std::move(global_idf)) {}
 
 std::vector<std::uint32_t> SearchSnapshot::doc_frequencies() const {
-  std::vector<std::uint32_t> dfs(docs_.cols(), 0);
-  for (std::uint32_t t = 0; t < docs_.cols(); ++t)
-    dfs[t] = index_.doc_frequency(t);
+  std::vector<std::uint32_t> dfs(shard_->docs.cols(), 0);
+  for (std::uint32_t t = 0; t < dfs.size(); ++t)
+    dfs[t] = shard_->index.doc_frequency(t);
   return dfs;
 }
 
 std::vector<std::uint32_t> SearchSnapshot::group_sizes() const {
   std::vector<std::uint32_t> sizes;
-  sizes.reserve(structure_.index.size());
-  for (const auto& g : structure_.index.groups())
+  sizes.reserve(shard_->structure.index.size());
+  for (const auto& g : shard_->structure.index.groups())
     sizes.push_back(static_cast<std::uint32_t>(g.members.size()));
   return sizes;
 }
 
 SearchComponentWork SearchSnapshot::analyze(
     const SearchRequest& request) const {
+  const Shard& s = *shard_;
   SearchComponentWork work;
-  const std::size_t m = synopsis_.size();
+  const std::size_t m = s.synopsis.size();
   work.correlations.resize(m, 0.0);
   work.scored_by_group.resize(m);
 
@@ -81,39 +79,42 @@ SearchComponentWork SearchSnapshot::analyze(
   // similarity means the group's member pages are, on average, more likely
   // to contain the actual top pages.
   for (std::size_t g = 0; g < m; ++g) {
-    work.correlations[g] = index_.score_counts(
-        request.terms, synopsis_.points[g].features, agg_length_[g]);
+    work.correlations[g] =
+        s.index.score_counts(request.terms, s.synopsis.points[g].features,
+                             s.agg_length[g], global_idf_.get());
   }
 
   // Exact pass, decomposed by group.
   std::vector<ScoredDoc> scored;
-  index_.score_query(request.terms, doc_id_base_, scored);
+  s.index.score_query(request.terms, s.doc_id_base, scored, global_idf_.get());
   for (const auto& d : scored) {
-    const auto local = static_cast<std::uint32_t>(d.doc - doc_id_base_);
-    work.scored_by_group[doc_group_[local]].push_back(d);
+    const auto local = static_cast<std::uint32_t>(d.doc - s.doc_id_base);
+    work.scored_by_group[s.doc_group[local]].push_back(d);
   }
   return work;
 }
 
 std::vector<ScoredDoc> SearchSnapshot::exact_topk(const SearchRequest& request,
                                                   std::size_t k) const {
-  return index_.topk(request.terms, doc_id_base_, k);
+  return shard_->index.topk(request.terms, shard_->doc_id_base, k,
+                            global_idf_.get());
 }
 
 std::vector<ScoredDoc> SearchSnapshot::synopsis_topk(
     const SearchRequest& request, std::size_t k) const {
-  const std::size_t m = synopsis_.size();
+  const Shard& s = *shard_;
+  const std::size_t m = s.synopsis.size();
   std::vector<double> corr(m, 0.0);
   for (std::size_t g = 0; g < m; ++g) {
-    corr[g] = index_.score_counts(request.terms, synopsis_.points[g].features,
-                                  agg_length_[g]);
+    corr[g] = s.index.score_counts(request.terms, s.synopsis.points[g].features,
+                                   s.agg_length[g], global_idf_.get());
   }
   std::vector<ScoredDoc> out;
   for (const std::size_t g : core::rank_by_correlation(corr)) {
     if (corr[g] <= 0.0 || out.size() >= k) break;  // no query overlap left
-    for (auto member : structure_.index.groups()[g].members) {
+    for (auto member : s.structure.index.groups()[g].members) {
       if (out.size() >= k) break;
-      out.push_back(ScoredDoc{corr[g], doc_id_base_ + member});
+      out.push_back(ScoredDoc{corr[g], s.doc_id_base + member});
     }
   }
   return out;
@@ -121,116 +122,90 @@ std::vector<ScoredDoc> SearchSnapshot::synopsis_topk(
 
 std::vector<std::uint64_t> SearchSnapshot::group_member_docs(
     std::size_t g) const {
-  const auto& members = structure_.index.groups().at(g).members;
+  const auto& members = shard_->structure.index.groups().at(g).members;
   std::vector<std::uint64_t> out;
   out.reserve(members.size());
-  for (auto m : members) out.push_back(doc_id_base_ + m);
+  for (auto m : members) out.push_back(shard_->doc_id_base + m);
   return out;
 }
 
 void SearchSnapshot::save(std::ostream& os, common::Codec codec) const {
+  const Shard& s = *shard_;
   common::ArtifactWriter w(os, "SCMP", 1);
   common::ChunkWriter conf;
-  conf.u64(doc_id_base_);
-  conf.u64(config_.svd.rank);
-  conf.u64(config_.svd.epochs_per_dim);
-  conf.f64(config_.svd.learning_rate);
-  conf.f64(config_.svd.regularization);
-  conf.f64(config_.size_ratio);
-  conf.u64(config_.min_groups);
-  conf.u8(scorer_.scorer == Scorer::kBm25 ? 1 : 0);
-  conf.f64(scorer_.bm25_k1);
-  conf.f64(scorer_.bm25_b);
+  conf.u64(s.doc_id_base);
+  conf.u64(s.config.svd.rank);
+  conf.u64(s.config.svd.epochs_per_dim);
+  conf.f64(s.config.svd.learning_rate);
+  conf.f64(s.config.svd.regularization);
+  conf.f64(s.config.size_ratio);
+  conf.u64(s.config.min_groups);
+  conf.u8(s.scorer.scorer == Scorer::kBm25 ? 1 : 0);
+  conf.f64(s.scorer.bm25_k1);
+  conf.f64(s.scorer.bm25_b);
   w.chunk("CONF", conf);
-  synopsis::save(os, docs_);
-  synopsis::save(os, structure_, codec);
-  synopsis::save(os, synopsis_);
+  synopsis::save(os, s.docs);
+  synopsis::save(os, s.structure, codec);
+  synopsis::save(os, s.synopsis);
   w.finish();
 }
 
 std::unique_ptr<const SearchSnapshot> SearchSnapshot::with_global_idf(
     std::shared_ptr<const std::vector<double>> idf) const {
-  std::unique_ptr<SearchSnapshot> copy(new SearchSnapshot(*this));
-  copy->global_idf_ = std::move(idf);
-  copy->index_.set_global_idf(copy->global_idf_);
-  return copy;
+  return std::unique_ptr<const SearchSnapshot>(
+      new SearchSnapshot(shard_, std::move(idf)));
 }
 
-// ---------------------------------------------------------------------------
-// SearchBuilder
-
-SearchBuilder::SearchBuilder(synopsis::SparseRows docs,
-                             std::uint64_t doc_id_base,
-                             const synopsis::BuildConfig& config,
-                             ScorerParams scorer, common::ThreadPool* pool)
-    : docs_(std::move(docs)),
-      doc_id_base_(doc_id_base),
-      config_(config),
-      scorer_(scorer),
-      structure_(synopsis::SynopsisBuilder(config).build(docs_, pool)),
-      synopsis_(synopsis::aggregate_all(docs_, structure_.index,
-                                        synopsis::AggregationKind::kMerge,
-                                        pool)) {}
-
-SearchBuilder::SearchBuilder(synopsis::SparseRows docs,
-                             std::uint64_t doc_id_base,
-                             synopsis::BuildConfig config, ScorerParams scorer,
-                             synopsis::SynopsisStructure structure,
-                             synopsis::Synopsis synopsis)
-    : docs_(std::move(docs)),
-      doc_id_base_(doc_id_base),
-      config_(config),
-      scorer_(scorer),
-      structure_(std::move(structure)),
-      synopsis_(std::move(synopsis)) {}
-
-synopsis::UpdateReport SearchBuilder::apply(const synopsis::UpdateBatch& batch,
-                                            common::ThreadPool* pool) {
-  synopsis::SynopsisUpdater updater(config_);
-  return updater.apply(structure_, docs_, synopsis_, batch,
-                       synopsis::AggregationKind::kMerge, pool);
-}
-
-std::unique_ptr<const SearchSnapshot> SearchBuilder::build(
-    std::shared_ptr<const std::vector<double>> global_idf) const {
+std::unique_ptr<const SearchSnapshot> SearchSnapshot::with_update(
+    const synopsis::UpdateBatch& batch, common::ThreadPool* pool,
+    synopsis::UpdateReport& report) const {
+  const Shard& s = *shard_;
+  synopsis::SparseRows docs(s.docs, batch.entries());
+  synopsis::SynopsisStructure structure = s.structure.clone();
+  synopsis::Synopsis syn = s.synopsis;
+  report = synopsis::SynopsisUpdater(s.config).apply(
+      structure, docs, syn, batch, synopsis::AggregationKind::kMerge, pool);
   return std::make_unique<const SearchSnapshot>(
-      docs_, doc_id_base_, config_, scorer_, structure_.clone(), synopsis_,
-      std::move(global_idf));
+      std::move(docs), s.doc_id_base, s.config, s.scorer, std::move(structure),
+      std::move(syn), global_idf_);
 }
 
 // ---------------------------------------------------------------------------
 // SearchComponent
 
-/// The non-movable anchor behind the movable facade: the writer mutex, the
-/// shadow copy it guards, and the epoch slot readers pin through. Held via
-/// unique_ptr so SearchComponent still fits in std::vector.
+/// The non-movable anchor behind the movable facade: the writer mutex and
+/// the epoch slot readers pin through. Held via unique_ptr so
+/// SearchComponent still fits in std::vector.
 struct SearchComponent::Core {
   common::Mutex writer_mutex;
-  SearchBuilder builder AT_GUARDED_BY(writer_mutex);
   common::ThreadPool* pool AT_GUARDED_BY(writer_mutex) = nullptr;
-  std::shared_ptr<const std::vector<double>> global_idf
-      AT_GUARDED_BY(writer_mutex);
   DeltaSink delta_sink AT_GUARDED_BY(writer_mutex);
   common::EpochSlot<SearchSnapshot> epoch;
-
-  explicit Core(SearchBuilder b) : builder(std::move(b)) {}
 };
 
-SearchComponent::SearchComponent(SearchBuilder builder,
-                                 common::ThreadPool* pool)
-    : core_(std::make_unique<Core>(std::move(builder))) {
+SearchComponent::SearchComponent(
+    std::unique_ptr<const SearchSnapshot> initial, common::ThreadPool* pool)
+    : core_(std::make_unique<Core>()) {
   common::MutexLock lock(core_->writer_mutex);
   core_->pool = pool;
-  core_->epoch.publish(core_->builder.build(nullptr));
+  core_->epoch.publish(std::move(initial));
 }
 
 SearchComponent::SearchComponent(synopsis::SparseRows docs,
                                  std::uint64_t doc_id_base,
                                  const synopsis::BuildConfig& config,
                                  ScorerParams scorer, common::ThreadPool* pool)
-    : SearchComponent(
-          SearchBuilder(std::move(docs), doc_id_base, config, scorer, pool),
-          pool) {}
+    : core_(std::make_unique<Core>()) {
+  synopsis::SynopsisStructure structure =
+      synopsis::SynopsisBuilder(config).build(docs, pool);
+  synopsis::Synopsis syn = synopsis::aggregate_all(
+      docs, structure.index, synopsis::AggregationKind::kMerge, pool);
+  common::MutexLock lock(core_->writer_mutex);
+  core_->pool = pool;
+  core_->epoch.publish(std::make_unique<const SearchSnapshot>(
+      std::move(docs), doc_id_base, config, scorer, std::move(structure),
+      std::move(syn), nullptr));
+}
 
 SearchComponent::~SearchComponent() = default;
 SearchComponent::SearchComponent(SearchComponent&&) noexcept = default;
@@ -287,21 +262,19 @@ const InvertedIndex& SearchComponent::index() const {
 void SearchComponent::set_global_idf(
     std::shared_ptr<const std::vector<double>> idf) {
   common::MutexLock lock(core_->writer_mutex);
-  core_->global_idf = idf;
-  std::shared_ptr<const SearchSnapshot> cur = core_->epoch.acquire();
-  // Cheap-copy publish: swap the idf table on a copy of the published
-  // snapshot instead of rebuilding index + derived arrays from the shadow.
-  core_->epoch.publish(cur->with_global_idf(std::move(idf)));
+  core_->epoch.publish(core_->epoch.acquire()->with_global_idf(std::move(idf)));
 }
 
 synopsis::UpdateReport SearchComponent::update(
     const synopsis::UpdateBatch& batch) {
   common::MutexLock lock(core_->writer_mutex);
   const std::uint64_t from = core_->epoch.version();
-  // Retrain/fold-in runs on the shadow copy: readers keep scanning the
-  // published epoch and never observe intermediate state.
-  synopsis::UpdateReport report = core_->builder.apply(batch, core_->pool);
-  core_->epoch.publish(core_->builder.build(core_->global_idf));
+  // Retrain/fold-in runs on a private copy of the published state: readers
+  // keep scanning the published epoch and never observe intermediate
+  // state, and a failed publish leaves the component exactly as it was.
+  synopsis::UpdateReport report;
+  core_->epoch.publish(
+      core_->epoch.acquire()->with_update(batch, core_->pool, report));
   if (core_->delta_sink) {
     core_->delta_sink(batch, from, core_->epoch.version());
   }
@@ -309,17 +282,13 @@ synopsis::UpdateReport SearchComponent::update(
 }
 
 void SearchComponent::adopt(SearchComponent&& fresh) {
-  // Move the incoming shadow copy out from under `fresh`'s own mutex
-  // first; both locks are never held at once (no ordering to get wrong).
-  std::unique_ptr<Core> incoming = std::move(fresh.core_);
-  SearchBuilder* adopted = nullptr;
-  {
-    common::MutexLock lock(incoming->writer_mutex);
-    adopted = &incoming->builder;
-  }
+  // `fresh` is a private temporary, so pinning its snapshot needs no lock
+  // of ours; only this component's writer mutex is ever held.
+  const std::shared_ptr<const SearchSnapshot> incoming = fresh.snapshot();
+  fresh.core_.reset();
   common::MutexLock lock(core_->writer_mutex);
-  core_->builder = std::move(*adopted);
-  core_->epoch.publish(core_->builder.build(core_->global_idf));
+  core_->epoch.publish(
+      incoming->with_global_idf(core_->epoch.acquire()->global_idf()));
 }
 
 SearchComponent SearchComponent::load(std::istream& is) try {
@@ -345,8 +314,9 @@ SearchComponent SearchComponent::load(std::istream& is) try {
     auto structure = synopsis::load_structure(is);
     auto synopsis = synopsis::load_synopsis(is);
     return SearchComponent(
-        SearchBuilder(std::move(docs), doc_id_base, config, scorer,
-                      std::move(structure), std::move(synopsis)),
+        std::make_unique<const SearchSnapshot>(
+            std::move(docs), doc_id_base, config, scorer, std::move(structure),
+            std::move(synopsis), nullptr),
         nullptr);
   }
   common::ArtifactReader r(is, "SCMP");
@@ -371,8 +341,9 @@ SearchComponent SearchComponent::load(std::istream& is) try {
   auto synopsis = synopsis::load_synopsis(is);
   r.finish();
   return SearchComponent(
-      SearchBuilder(std::move(docs), doc_id_base, config, scorer,
-                    std::move(structure), std::move(synopsis)),
+      std::make_unique<const SearchSnapshot>(
+          std::move(docs), doc_id_base, config, scorer, std::move(structure),
+          std::move(synopsis), nullptr),
       nullptr);
 } catch (const common::ArtifactError&) {
   throw;

@@ -2,16 +2,18 @@
 // corpus, its inverted index, and the synopsis of merged ("aggregated")
 // pages built over it.
 //
-// Ownership model (ISSUE 8): the component is split into an immutable
-// published half and a mutable shadow half behind an RCU epoch slot.
+// Ownership model: each component has exactly one owner of its shard state
+// — the published snapshot — behind an RCU epoch slot.
 //
 //   SearchSnapshot   everything a query reads — docs, synopsis, inverted
-//                    index, derived arrays — frozen at publish time. All
-//                    methods are const and safe to call from any number
-//                    of threads concurrently.
-//   SearchBuilder    the writer's working copy. update batches mutate it
-//                    in place on the component's home group, then build()
-//                    copies it into a fresh SearchSnapshot.
+//                    index, derived arrays — frozen at publish time and
+//                    held behind one shared_ptr, plus the corpus-global
+//                    idf table. All methods are const and safe to call
+//                    from any number of threads concurrently. Swapping
+//                    the idf yields a new snapshot that shares the shard
+//                    state; applying an update batch copies the state
+//                    once, retrains the copy and moves it into a new
+//                    snapshot.
 //   SearchComponent  the facade the rest of the stack holds: queries pin
 //                    the current snapshot (snapshot() / the delegating
 //                    query methods), writers serialize on an internal
@@ -53,35 +55,40 @@ struct SearchComponentWork {
   std::vector<std::vector<ScoredDoc>> scored_by_group;
 };
 
-/// Immutable published state of one search component. Built by
-/// SearchBuilder::build(); every member is frozen after construction, so
-/// any number of threads may query one snapshot concurrently (the scan
-/// scratch inside InvertedIndex is thread_local). Group indices, doc ids
-/// and correlations returned by one snapshot are only meaningful against
-/// that same snapshot — pin it once per request.
+/// Immutable published state of one search component. Every member is
+/// frozen after construction, so any number of threads may query one
+/// snapshot concurrently (the scan scratch inside InvertedIndex is
+/// thread_local). Group indices, doc ids and correlations returned by one
+/// snapshot are only meaningful against that same snapshot — pin it once
+/// per request.
 class SearchSnapshot {
  public:
+  /// Indexes the given shard state (inverted index + derived arrays).
   SearchSnapshot(synopsis::SparseRows docs, std::uint64_t doc_id_base,
                  synopsis::BuildConfig config, ScorerParams scorer,
                  synopsis::SynopsisStructure structure,
                  synopsis::Synopsis synopsis,
                  std::shared_ptr<const std::vector<double>> global_idf);
 
-  std::size_t num_docs() const { return docs_.rows(); }
-  std::size_t num_groups() const { return structure_.index.size(); }
-  std::uint64_t doc_id_base() const { return doc_id_base_; }
-  const synopsis::BuildConfig& config() const { return config_; }
-  const ScorerParams& scorer_params() const { return scorer_; }
-  const synopsis::SparseRows& docs() const { return docs_; }
-  const synopsis::SynopsisStructure& structure() const { return structure_; }
-  const synopsis::Synopsis& synopsis() const { return synopsis_; }
-  const InvertedIndex& index() const { return index_; }
+  std::size_t num_docs() const { return shard_->docs.rows(); }
+  std::size_t num_groups() const { return shard_->structure.index.size(); }
+  std::uint64_t doc_id_base() const { return shard_->doc_id_base; }
+  const synopsis::BuildConfig& config() const { return shard_->config; }
+  const ScorerParams& scorer_params() const { return shard_->scorer; }
+  const synopsis::SparseRows& docs() const { return shard_->docs; }
+  const synopsis::SynopsisStructure& structure() const {
+    return shard_->structure;
+  }
+  const synopsis::Synopsis& synopsis() const { return shard_->synopsis; }
+  /// The shard's index; it holds no idf table — scoring through it
+  /// directly uses the shard-local idf unless global_idf() is passed.
+  const InvertedIndex& index() const { return shard_->index; }
   const std::shared_ptr<const std::vector<double>>& global_idf() const {
     return global_idf_;
   }
 
   /// Compressed vs raw postings footprint of this shard's inverted index.
-  IndexSizeStats index_size() const { return index_.size_stats(); }
+  IndexSizeStats index_size() const { return shard_->index.size_stats(); }
 
   /// Per-term document frequencies (for building the corpus-global idf).
   std::vector<std::uint32_t> doc_frequencies() const;
@@ -117,63 +124,43 @@ class SearchSnapshot {
   void save(std::ostream& os,
             common::Codec codec = common::default_codec()) const;
 
-  /// Identical snapshot with a different corpus-global idf table: copies
-  /// the frozen state and swaps the idf — no SVD retrain, no index
-  /// rebuild (the postings pool is copied, not reconstructed).
+  /// This snapshot with a different corpus-global idf table. Shares the
+  /// shard state: no copy of docs, postings or synopsis.
   std::unique_ptr<const SearchSnapshot> with_global_idf(
       std::shared_ptr<const std::vector<double>> idf) const;
 
+  /// This snapshot with `batch` applied: copies the shard state once,
+  /// retrains/folds the batch into the copy, and indexes it into a new
+  /// snapshot with the same idf. This snapshot is left untouched, so a
+  /// caller that fails to publish the result has changed nothing.
+  std::unique_ptr<const SearchSnapshot> with_update(
+      const synopsis::UpdateBatch& batch, common::ThreadPool* pool,
+      synopsis::UpdateReport& report) const;
+
  private:
-  SearchSnapshot(const SearchSnapshot&);  // deep copy (clones the R-tree)
+  /// The heavy per-shard state, shared by every snapshot that differs
+  /// only in its idf table.
+  struct Shard {
+    Shard(synopsis::SparseRows docs, std::uint64_t doc_id_base,
+          synopsis::BuildConfig config, ScorerParams scorer,
+          synopsis::SynopsisStructure structure, synopsis::Synopsis synopsis);
 
-  void build_derived();  // doc_group_, agg_length_
+    synopsis::SparseRows docs;
+    std::uint64_t doc_id_base;
+    synopsis::BuildConfig config;
+    ScorerParams scorer;
+    synopsis::SynopsisStructure structure;
+    synopsis::Synopsis synopsis;
+    InvertedIndex index;
+    std::vector<std::uint32_t> doc_group;  // local doc -> group index
+    std::vector<double> agg_length;        // merged length per aggregated page
+  };
 
-  synopsis::SparseRows docs_;
-  std::uint64_t doc_id_base_;
-  synopsis::BuildConfig config_;
-  ScorerParams scorer_;
-  synopsis::SynopsisStructure structure_;
-  synopsis::Synopsis synopsis_;
-  InvertedIndex index_;
-  std::vector<std::uint32_t> doc_group_;  // local doc -> group index
-  std::vector<double> agg_length_;        // merged length per aggregated page
+  SearchSnapshot(std::shared_ptr<const Shard> shard,
+                 std::shared_ptr<const std::vector<double>> global_idf);
+
+  std::shared_ptr<const Shard> shard_;
   std::shared_ptr<const std::vector<double>> global_idf_;
-};
-
-/// The writer's mutable half: the working copy retrain/fold-in batches
-/// mutate, and the factory for published snapshots. Not thread-safe by
-/// itself — SearchComponent serializes all access under its writer mutex.
-class SearchBuilder {
- public:
-  SearchBuilder(synopsis::SparseRows docs, std::uint64_t doc_id_base,
-                const synopsis::BuildConfig& config, ScorerParams scorer,
-                common::ThreadPool* pool);
-
-  /// From loaded artifact pieces (no synopsis rebuild).
-  SearchBuilder(synopsis::SparseRows docs, std::uint64_t doc_id_base,
-                synopsis::BuildConfig config, ScorerParams scorer,
-                synopsis::SynopsisStructure structure,
-                synopsis::Synopsis synopsis);
-
-  std::uint64_t doc_id_base() const { return doc_id_base_; }
-  const synopsis::BuildConfig& config() const { return config_; }
-
-  /// Applies an input-data change batch to the shadow copy.
-  synopsis::UpdateReport apply(const synopsis::UpdateBatch& batch,
-                               common::ThreadPool* pool);
-
-  /// Copies the current shadow state into a fresh immutable snapshot
-  /// (rebuilds the inverted index and derived arrays).
-  std::unique_ptr<const SearchSnapshot> build(
-      std::shared_ptr<const std::vector<double>> global_idf) const;
-
- private:
-  synopsis::SparseRows docs_;
-  std::uint64_t doc_id_base_;
-  synopsis::BuildConfig config_;
-  ScorerParams scorer_;
-  synopsis::SynopsisStructure structure_;
-  synopsis::Synopsis synopsis_;
 };
 
 class SearchComponent {
@@ -262,17 +249,19 @@ class SearchComponent {
   }
 
   /// Installs the corpus-global idf table used in all scoring; publishes
-  /// a new epoch (cheap snapshot copy, no rebuild).
+  /// a new epoch that shares the shard state (no copy, no rebuild).
   void set_global_idf(std::shared_ptr<const std::vector<double>> idf);
 
-  /// Applies an input-data change batch to the shadow copy, then
-  /// publishes the result as a new epoch. In-flight queries keep scanning
-  /// the epoch they pinned; no reader ever waits on this call.
+  /// Applies an input-data change batch to a copy of the published state,
+  /// then publishes the result as a new epoch. In-flight queries keep
+  /// scanning the epoch they pinned; no reader ever waits on this call. If
+  /// the publish fails, nothing changed: no version bump, no delta.
   synopsis::UpdateReport update(const synopsis::UpdateBatch& batch);
 
   /// Replaces this component's state with `fresh`'s (the reload path):
-  /// adopts its shadow copy and publishes a new epoch built from it. The
-  /// pool and delta sink installed on *this* component are kept.
+  /// publishes a new epoch that shares `fresh`'s shard state under this
+  /// component's idf. The pool and delta sink installed on *this*
+  /// component are kept.
   void adopt(SearchComponent&& fresh);
 
   void save(std::ostream& os,
@@ -282,9 +271,10 @@ class SearchComponent {
   static SearchComponent load(std::istream& is);
 
  private:
-  struct Core;  // non-movable anchor (mutex + epoch slot + shadow copy)
+  struct Core;  // non-movable anchor (writer mutex + epoch slot)
 
-  explicit SearchComponent(SearchBuilder builder, common::ThreadPool* pool);
+  SearchComponent(std::unique_ptr<const SearchSnapshot> initial,
+                  common::ThreadPool* pool);
 
   std::unique_ptr<Core> core_;
 };

@@ -98,15 +98,10 @@ double InvertedIndex::idf(std::uint32_t term) const {
   return std::log(1.0 + n / (1.0 + df));
 }
 
-void InvertedIndex::set_global_idf(
-    std::shared_ptr<const std::vector<double>> idf) {
-  global_idf_ = std::move(idf);
-}
-
-double InvertedIndex::idf_for(std::uint32_t term) const {
-  if (global_idf_ != nullptr) {
-    if (term < global_idf_->size()) return (*global_idf_)[term];
-    return 0.0;
+double InvertedIndex::idf_for(std::uint32_t term,
+                              const std::vector<double>* global_idf) const {
+  if (global_idf != nullptr) {
+    return term < global_idf->size() ? (*global_idf)[term] : 0.0;
   }
   return idf(term);
 }
@@ -149,6 +144,7 @@ ScoreAccumulator& scratch() {
 }  // namespace
 
 void InvertedIndex::accumulate(const std::vector<std::uint32_t>& terms,
+                               const std::vector<double>* global_idf,
                                ScoreAccumulator& acc) const {
   acc.begin(num_docs());
   const bool bm25 = scorer_.scorer == Scorer::kBm25;
@@ -172,7 +168,7 @@ void InvertedIndex::accumulate(const std::vector<std::uint32_t>& terms,
   // stamped path.
   bool fresh = true;
   for (auto term : terms) {
-    const double w = idf_for(term);
+    const double w = idf_for(term, global_idf);
     if (w <= 0.0 || term >= vocab_size()) continue;
     postings_.scan_blocks(term, [&](const codec::BlockView& bv) {
       if (bv.exc_count == 0) {
@@ -223,9 +219,10 @@ void InvertedIndex::accumulate(const std::vector<std::uint32_t>& terms,
 
 void InvertedIndex::score_query(const std::vector<std::uint32_t>& terms,
                                 std::uint64_t doc_id_base,
-                                std::vector<ScoredDoc>& out) const {
+                                std::vector<ScoredDoc>& out,
+                                const std::vector<double>* global_idf) const {
   ScoreAccumulator& acc = scratch();
-  accumulate(terms, acc);
+  accumulate(terms, global_idf, acc);
   out.reserve(out.size() + acc.touched().size());
   for (auto doc : acc.touched()) {
     const double score = acc.score(doc);
@@ -236,9 +233,9 @@ void InvertedIndex::score_query(const std::vector<std::uint32_t>& terms,
 
 std::vector<ScoredDoc> InvertedIndex::topk(
     const std::vector<std::uint32_t>& terms, std::uint64_t doc_id_base,
-    std::size_t k) const {
+    std::size_t k, const std::vector<double>* global_idf) const {
   ScoreAccumulator& acc = scratch();
-  accumulate(terms, acc);
+  accumulate(terms, global_idf, acc);
   TopK top(k);
   for (auto doc : acc.touched()) {
     const double score = acc.score(doc);

@@ -2,8 +2,10 @@
 // Lucene-style): postings map each term to the documents containing it,
 // and a query's matching documents are scored by
 //   score(d, q) = Σ_{t ∈ q}  sqrt(tf_{t,d}) * idf_t / sqrt(dl_d)
-// with idf_t = ln(1 + N / (1 + df_t)). The idf table can be swapped for a
-// service-global one so scores merge consistently across components.
+// with idf_t = ln(1 + N / (1 + df_t)). Every scoring call can override the
+// local idf with a service-global table so scores merge consistently across
+// components; the index itself never holds one, so one index serves any
+// number of idf tables.
 //
 // Postings are stored block-compressed (postings_codec.h): delta-encoded
 // doc ids in 128-entry varint/group-varint blocks with one-byte quantized
@@ -18,7 +20,6 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "services/search/postings_codec.h"
@@ -146,33 +147,35 @@ class InvertedIndex {
   /// Local idf of a term (from this index's own document counts).
   double idf(std::uint32_t term) const;
 
-  /// Overrides idf lookups with a shared (e.g. corpus-global) table.
-  void set_global_idf(std::shared_ptr<const std::vector<double>> idf);
+  // In the scoring calls below, a non-null `global_idf` replaces the local
+  // idf (e.g. with a corpus-global table); terms beyond its end score 0.
 
   /// Scores every document matching at least one query term; results are
   /// appended to `out` (unsorted). `doc_id_base` offsets local ids into the
   /// global doc-id space.
   void score_query(const std::vector<std::uint32_t>& terms,
-                   std::uint64_t doc_id_base,
-                   std::vector<ScoredDoc>& out) const;
+                   std::uint64_t doc_id_base, std::vector<ScoredDoc>& out,
+                   const std::vector<double>* global_idf = nullptr) const;
 
   /// Convenience: score + rank, returning the top k. The candidate set is
   /// never materialized — touched docs stream straight into the bounded
   /// top-k heap.
-  std::vector<ScoredDoc> topk(const std::vector<std::uint32_t>& terms,
-                              std::uint64_t doc_id_base, std::size_t k) const;
+  std::vector<ScoredDoc> topk(
+      const std::vector<std::uint32_t>& terms, std::uint64_t doc_id_base,
+      std::size_t k, const std::vector<double>* global_idf = nullptr) const;
 
   /// Scores one document (or aggregated page) against a query given raw
   /// term counts and length. `Row` is any sorted sparse row type
   /// (SparseVector or SparseRowView).
   template <typename Row>
   double score_counts(const std::vector<std::uint32_t>& terms,
-                      const Row& counts, double length) const {
+                      const Row& counts, double length,
+                      const std::vector<double>* global_idf = nullptr) const {
     double score = 0.0;
     for (auto term : terms) {
       const double tf = synopsis::value_at(counts, term);
       if (tf <= 0.0) continue;
-      score += term_doc_score(tf, idf_for(term), length);
+      score += term_doc_score(tf, idf_for(term, global_idf), length);
     }
     return score;
   }
@@ -184,11 +187,13 @@ class InvertedIndex {
   IndexSizeStats size_stats() const;
 
  private:
-  double idf_for(std::uint32_t term) const;
+  double idf_for(std::uint32_t term,
+                 const std::vector<double>* global_idf) const;
   double term_doc_score(double tf, double idf, double doc_len) const;
   /// Runs the term-at-a-time accumulation into `acc`, decoding postings
   /// blocks on the fly.
   void accumulate(const std::vector<std::uint32_t>& terms,
+                  const std::vector<double>* global_idf,
                   ScoreAccumulator& acc) const;
 
   ScorerParams scorer_;
@@ -198,7 +203,6 @@ class InvertedIndex {
   std::vector<double> len_norm_;    // 1/sqrt(doc length), 0 for empty docs
   std::vector<double> bm25_norm_;   // k1*(1-b+b*dl/avg) per doc
   double mean_doc_length_ = 0.0;
-  std::shared_ptr<const std::vector<double>> global_idf_;
 };
 
 /// Builds a corpus-global idf table from per-component document frequencies.

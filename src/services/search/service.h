@@ -90,9 +90,9 @@ class SearchService {
 
   /// Routes an input-data change batch to component `c` and invalidates
   /// the query cache (every cached answer is potentially stale). The
-  /// component retrains into its shadow copy and publishes a new epoch —
-  /// concurrent queries keep scanning their pinned snapshots and never
-  /// block on this call.
+  /// component retrains a copy of its published state and publishes it as
+  /// a new epoch — concurrent queries keep scanning their pinned snapshots
+  /// and never block on this call.
   synopsis::UpdateReport update_component(std::size_t c,
                                           const synopsis::UpdateBatch& batch);
 

@@ -120,6 +120,18 @@ SparseRowView SparseRows::row(std::uint32_t r) const {
                        e.len);
 }
 
+SparseRows::SparseRows(const SparseRows& other, std::size_t extra_entries)
+    : cols_(other.cols_),
+      extents_(other.extents_),
+      live_entries_(other.live_entries_),
+      dead_entries_(other.dead_entries_),
+      generation_(other.generation_) {
+  col_pool_.reserve(other.col_pool_.size() + extra_entries);
+  val_pool_.reserve(other.val_pool_.size() + extra_entries);
+  col_pool_.assign(other.col_pool_.begin(), other.col_pool_.end());
+  val_pool_.assign(other.val_pool_.begin(), other.val_pool_.end());
+}
+
 void SparseRows::reserve_entries(std::size_t entries) {
   col_pool_.reserve(col_pool_.size() + entries);
   val_pool_.reserve(val_pool_.size() + entries);

@@ -204,6 +204,11 @@ class SparseRows {
  public:
   explicit SparseRows(std::size_t cols) : cols_(cols) {}
 
+  /// Copy of `other` whose pools have room for `extra_entries` more
+  /// entries, so appending or relocating that many (e.g. applying an
+  /// update batch to the copy) never reallocates the pools.
+  SparseRows(const SparseRows& other, std::size_t extra_entries);
+
   std::size_t rows() const { return extents_.size(); }
   std::size_t cols() const { return cols_; }
 

@@ -29,6 +29,14 @@ struct UpdateBatch {
   std::vector<std::pair<std::uint32_t, SparseVector>> changed;
 
   bool empty() const { return added.empty() && changed.empty(); }
+  /// Upper bound on the pool entries applying the batch appends: every
+  /// added row, plus every changed row should it grow and relocate.
+  std::size_t entries() const {
+    std::size_t n = 0;
+    for (const auto& v : added) n += v.size();
+    for (const auto& [row, v] : changed) n += v.size();
+    return n;
+  }
 };
 
 struct UpdateReport {

@@ -18,11 +18,13 @@
 #include "common/epoch.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "services/recommender/component.h"
 #include "services/search/component.h"
 #include "services/search/query_cache.h"
 #include "services/search/service.h"
 #include "synopsis/delta.h"
 #include "workload/corpus.h"
+#include "workload/ratings.h"
 
 namespace at {
 namespace {
@@ -578,7 +580,9 @@ TEST(DeltaStream, SinkFiresPerPublishInVersionOrderAndReplayConverges) {
   ASSERT_EQ(stream.size(), static_cast<std::size_t>(kPublishes));
   for (std::size_t i = 0; i < stream.size(); ++i) {
     EXPECT_EQ(stream[i].to_version, stream[i].from_version + 1);
-    if (i > 0) EXPECT_EQ(stream[i].from_version, stream[i - 1].to_version);
+    if (i > 0) {
+      EXPECT_EQ(stream[i].from_version, stream[i - 1].to_version);
+    }
   }
 
   // Standby replay: applying the tailed batches in order reproduces the
@@ -593,6 +597,175 @@ TEST(DeltaStream, SinkFiresPerPublishInVersionOrderAndReplayConverges) {
   standby.save(standby_bytes);
   EXPECT_TRUE(live_bytes.str() == standby_bytes.str())
       << "replayed standby diverged from the live component";
+}
+
+// ---------------------------------------------------------------------------
+// Failed publishes leave no trace (primary/standby divergence regression)
+// ---------------------------------------------------------------------------
+
+template <typename Component>
+std::string save_bytes(const Component& c) {
+  std::ostringstream os(std::ios::binary);
+  c.save(os);
+  return os.str();
+}
+
+std::size_t rows_of(const search::SearchComponent& c) { return c.num_docs(); }
+std::size_t rows_of(const reco::RecommenderComponent& c) {
+  return c.num_users();
+}
+
+/// An update whose publish fails must change nothing: not the version, not
+/// the snapshot, not the saved bytes, and it emits no delta. Otherwise the
+/// next successful update would publish both batches but emit only its
+/// own, and a standby replaying the stream would silently diverge.
+/// `make_batch(n)` returns a batch adding n rows.
+template <typename Component, typename MakeBatch>
+void expect_failed_publish_leaves_no_trace(Component& live, Component& twin,
+                                           MakeBatch make_batch) {
+  std::vector<synopsis::DeltaArtifact> stream;
+  live.set_delta_sink([&stream](const synopsis::UpdateBatch& batch,
+                                std::uint64_t from, std::uint64_t to) {
+    synopsis::DeltaArtifact d;
+    d.from_version = from;
+    d.to_version = to;
+    d.batch = batch;
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    synopsis::save_delta(ss, d);
+    stream.push_back(synopsis::load_delta(ss));
+  });
+  const std::size_t rows0 = rows_of(live);
+  const std::uint64_t v0 = live.epoch_version();
+  const auto snap0 = live.snapshot();
+  const std::string bytes0 = save_bytes(live);
+
+  fp::set("epoch.publish", "error");
+  EXPECT_THROW((void)live.update(make_batch(3)), fp::FailpointError);
+  fp::clear_all();
+  EXPECT_EQ(live.epoch_version(), v0);
+  EXPECT_EQ(live.snapshot(), snap0);
+  EXPECT_TRUE(save_bytes(live) == bytes0) << "failed update changed state";
+  EXPECT_TRUE(stream.empty());
+
+  (void)live.update(make_batch(2));
+  EXPECT_EQ(rows_of(live), rows0 + 2);
+  ASSERT_EQ(stream.size(), 1u);
+  for (const auto& d : stream) {
+    ASSERT_EQ(twin.epoch_version(), d.from_version);
+    (void)twin.update(d.batch);
+  }
+  EXPECT_EQ(twin.epoch_version(), live.epoch_version());
+  EXPECT_EQ(rows_of(twin), rows_of(live));
+  EXPECT_TRUE(save_bytes(twin) == save_bytes(live))
+      << "replayed twin diverged from the live component";
+}
+
+TEST(FailedPublish, SearchComponentLeavesNoTraceAndReplayConverges) {
+  fp::clear_all();
+  auto cfg = small_corpus_config();
+  cfg.num_components = 1;
+  workload::CorpusGen gen(cfg);
+  auto wl = gen.generate(1);
+  auto shard_copy = wl.shards[0];
+  search::SearchComponent live(std::move(wl.shards[0]), 0,
+                               small_build_config());
+  search::SearchComponent twin(std::move(shard_copy), 0, small_build_config());
+  common::Rng rng(9);
+  expect_failed_publish_leaves_no_trace(live, twin, [&](std::size_t n) {
+    return make_batch(gen, rng, n, 0, 0);
+  });
+}
+
+TEST(FailedPublish, RecommenderComponentLeavesNoTraceAndReplayConverges) {
+  fp::clear_all();
+  workload::RatingConfig cfg;
+  cfg.num_components = 1;
+  cfg.users_per_component = 120;
+  cfg.num_items = 80;
+  cfg.num_clusters = 6;
+  cfg.seed = 13;
+  workload::RatingWorkloadGen gen(cfg);
+  auto wl = gen.generate(1, 1);
+  auto subset_copy = wl.subsets[0];
+  reco::RecommenderComponent live(std::move(wl.subsets[0]),
+                                  small_build_config());
+  reco::RecommenderComponent twin(std::move(subset_copy),
+                                  small_build_config());
+  common::Rng rng(9);
+  expect_failed_publish_leaves_no_trace(live, twin, [&](std::size_t n) {
+    synopsis::UpdateBatch batch;
+    for (std::size_t i = 0; i < n; ++i)
+      batch.added.push_back(gen.sample_user(rng));
+    return batch;
+  });
+}
+
+// ---------------------------------------------------------------------------
+// Idf swaps share shard state instead of copying it
+// ---------------------------------------------------------------------------
+
+/// True when `a` and `b` read the very same docs, postings and synopsis
+/// storage (pointer identity, not equal contents).
+bool shares_shard(const search::SearchSnapshot& a,
+                  const search::SearchSnapshot& b) {
+  return &a.docs() == &b.docs() &&
+         &a.index().postings_pool() == &b.index().postings_pool() &&
+         &a.synopsis() == &b.synopsis() && &a.structure() == &b.structure();
+}
+
+TEST(SharedShardState, IdfSwapsNeverCopyShards) {
+  auto cfg = small_corpus_config();
+  cfg.num_components = 3;
+  workload::CorpusGen gen(cfg);
+  auto wl = gen.generate(4);
+  std::vector<search::SearchComponent> comps;
+  std::vector<std::shared_ptr<const search::SearchSnapshot>> built;
+  std::uint64_t base = 0;
+  for (auto& shard : wl.shards) {
+    const auto docs = shard.rows();
+    comps.emplace_back(std::move(shard), base, small_build_config());
+    built.push_back(comps.back().snapshot());
+    base += docs;
+  }
+
+  // Construction installs the corpus-global idf by publishing a new
+  // snapshot per component that shares the built state.
+  search::SearchService service(std::move(comps), 10);
+  std::vector<std::shared_ptr<const search::SearchSnapshot>> served;
+  for (std::size_t c = 0; c < service.num_components(); ++c) {
+    served.push_back(service.component(c).snapshot());
+    EXPECT_NE(served[c], built[c]);
+    EXPECT_EQ(built[c]->global_idf(), nullptr);
+    ASSERT_NE(served[c]->global_idf(), nullptr);
+    EXPECT_TRUE(shares_shard(*served[c], *built[c])) << "component " << c;
+  }
+
+  std::vector<std::vector<search::ScoredDoc>> before;
+  for (const auto& q : wl.queries) before.push_back(service.exact_topk(q));
+
+  // Reloading component 0 republishes the rebuilt idf everywhere; the
+  // untouched components keep sharing their state.
+  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+  service.component(0).save(ss);
+  service.reload_component(0, ss);
+  for (std::size_t c = 1; c < service.num_components(); ++c) {
+    const auto now = service.component(c).snapshot();
+    EXPECT_NE(now, served[c]);
+    EXPECT_NE(now->global_idf(), served[c]->global_idf());
+    EXPECT_TRUE(shares_shard(*now, *served[c])) << "component " << c;
+  }
+  EXPECT_FALSE(shares_shard(*service.component(0).snapshot(), *served[0]));
+
+  // The reload restored the same contents, so the rebuilt idf has the same
+  // values and every answer is bit-identical to the one before it.
+  for (std::size_t q = 0; q < wl.queries.size(); ++q) {
+    const auto after = service.exact_topk(wl.queries[q]);
+    ASSERT_EQ(after.size(), before[q].size());
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_EQ(after[i].doc, before[q][i].doc);
+      EXPECT_EQ(after[i].score, before[q][i].score);
+    }
+  }
 }
 
 }  // namespace

@@ -284,11 +284,9 @@ TEST(InvertedIndexTest, IdfPenalizesCommonTerms) {
 }
 
 TEST(InvertedIndexTest, GlobalIdfOverride) {
-  InvertedIndex idx(tiny_docs());
-  auto idf = std::make_shared<const std::vector<double>>(
-      std::vector<double>{10.0, 0.0, 0.0, 0.0, 0.0, 0.0});
-  idx.set_global_idf(idf);
-  const auto r = idx.topk({0, 4}, 0, 4);
+  const InvertedIndex idx(tiny_docs());
+  const std::vector<double> idf{10.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  const auto r = idx.topk({0, 4}, 0, 4, &idf);
   ASSERT_FALSE(r.empty());
   // With idf(4) forced to 0, only term-0 docs can score.
   for (const auto& d : r) EXPECT_NE(d.doc, 3u);
@@ -594,12 +592,13 @@ TEST_F(SearchServiceTest, ExactTopkIsGloballyConsistent) {
 
 TEST_F(SearchServiceTest, ComponentDecompositionCoversExact) {
   // Union of per-group scored docs == component's full match set.
-  const auto& comp = service_->component(0);
-  const auto work = comp.analyze(queries_[0]);
+  const auto snap = service_->component(0).snapshot();
+  const auto work = snap->analyze(queries_[0]);
   std::size_t by_group = 0;
   for (const auto& g : work.scored_by_group) by_group += g.size();
   std::vector<ScoredDoc> all;
-  comp.index().score_query(queries_[0].terms, comp.doc_id_base(), all);
+  snap->index().score_query(queries_[0].terms, snap->doc_id_base(), all,
+                            snap->global_idf().get());
   EXPECT_EQ(by_group, all.size());
 }
 

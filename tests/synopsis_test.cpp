@@ -127,6 +127,38 @@ TEST(SparseRows, CompactionTriggeredByReplaceTicksGeneration) {
   }
 }
 
+TEST(SparseRows, CopyWithHeadroomMatchesAndAppendsWithoutMoving) {
+  SparseRows rows(16);
+  rows.add_row({{0, 1.0}, {3, 2.0}, {7, 3.0}});
+  rows.add_row({{1, 1.0}, {2, 1.0}, {4, 1.0}, {5, 1.0},
+                {6, 1.0}, {8, 1.0}, {9, 1.0}, {10, 1.0}});
+  rows.replace_row(0, {{2, 9.0}});  // shrink: a 2-entry hole, no compaction
+  ASSERT_EQ(rows.dead_entries(), 2u);
+
+  SparseRows copy(rows, 6);
+  ASSERT_EQ(copy.rows(), rows.rows());
+  EXPECT_EQ(copy.total_entries(), rows.total_entries());
+  EXPECT_EQ(copy.dead_entries(), rows.dead_entries());
+  EXPECT_EQ(copy.pool_entries(), rows.pool_entries());
+  for (std::uint32_t r = 0; r < rows.rows(); ++r) {
+    const auto a = rows.row(r);
+    const auto b = copy.row(r);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+  }
+
+  // Appending and relocating up to the headroom (2 + 4 entries) keeps the
+  // pools in place; the source is untouched.
+  const std::uint32_t* base = copy.row(0).cols();
+  copy.add_row({{11, 1.0}, {12, 1.0}});
+  copy.replace_row(0, {{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}});
+  ASSERT_EQ(copy.dead_entries(), 3u);  // no compaction either
+  EXPECT_EQ(copy.row(1).cols(), base + 3);
+  EXPECT_EQ(copy.row(0).cols(), base + 13);  // relocated to the pool end
+  EXPECT_EQ(rows.rows(), 2u);
+  EXPECT_EQ(rows.pool_entries(), 11u);
+}
+
 TEST(IndexFile, PartitionValidation) {
   IndexFile idx({{1, 0, {0, 1}}, {2, 0, {2}}});
   EXPECT_TRUE(idx.is_partition_of(3));
