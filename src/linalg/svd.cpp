@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 
 #include "common/artifact.h"
@@ -28,9 +30,14 @@ struct EntryStream {
   const std::size_t* row_ptr = nullptr;
   const std::uint32_t* cols = nullptr;
   const double* vals = nullptr;
+  /// bound[i]: the smallest column among entries i.. of entry i's row (the
+  /// columns the row has yet to touch once it reaches entry i). Aliases
+  /// `cols` when every row is strictly increasing, as SparseRows rows are.
+  const std::uint32_t* bound = nullptr;
   std::size_t num_rows = 0;
   std::size_t count = 0;
   SparseDataset local;  // storage when the input had no CSR form
+  std::vector<std::uint32_t> local_bound;  // bound for unsorted rows
 
   explicit EntryStream(const SparseDataset& data) {
     const SparseDataset* d = &data;
@@ -51,6 +58,23 @@ struct EntryStream {
     vals = d->values.data();
     num_rows = d->rows;
     count = d->col_idx.size();
+
+    // Rows with unsorted or repeated columns need their suffix minima.
+    bound = cols;
+    for (std::size_t r = 0; r < num_rows; ++r) {
+      const std::uint32_t* const first = cols + row_ptr[r];
+      const std::uint32_t* const last = cols + row_ptr[r + 1];
+      if (std::adjacent_find(first, last, std::greater_equal<>()) != last) {
+        local_bound.resize(count);
+        for (std::size_t row = 0; row < num_rows; ++row) {
+          std::uint32_t low = std::numeric_limits<std::uint32_t>::max();
+          for (std::size_t i = row_ptr[row + 1]; i > row_ptr[row]; --i)
+            local_bound[i - 1] = low = std::min(low, cols[i - 1]);
+        }
+        bound = local_bound.data();
+        break;
+      }
+    }
   }
 
   /// Row-range boundaries splitting the entries into `shards` roughly
@@ -80,30 +104,6 @@ struct EntryStream {
   }
 };
 
-// Shared-factor access for the SGD sweep. The hogwild path (kRacy) goes
-// through relaxed atomics: the lost-update races on column factors are the
-// intended hogwild semantics, but bare loads/stores of a concurrently
-// written double are UB in the C++ memory model (and ThreadSanitizer
-// findings); relaxed atomics express exactly "tear-free, no ordering". The
-// sequential path compiles to the plain load/store it always was.
-template <bool kRacy>
-inline double shared_load(double& x) {
-  if constexpr (kRacy) {
-    return std::atomic_ref<double>(x).load(std::memory_order_relaxed);
-  } else {
-    return x;
-  }
-}
-
-template <bool kRacy>
-inline void shared_store(double& x, double v) {
-  if constexpr (kRacy) {
-    std::atomic_ref<double>(x).store(v, std::memory_order_relaxed);
-  } else {
-    x = v;
-  }
-}
-
 /// Everything one SGD sweep needs. Column state is accessed as
 /// colf[c * colf_stride] so the same kernel trains against the global
 /// factor matrix (stride = rank, offset pre-applied) or a node-local
@@ -111,6 +111,7 @@ inline void shared_store(double& x, double v) {
 struct SweepCtx {
   const std::size_t* row_ptr = nullptr;
   const std::uint32_t* cols = nullptr;
+  const std::uint32_t* bound = nullptr;  // EntryStream::bound
   double* resid = nullptr;
   Matrix* row_factors = nullptr;
   double* colf = nullptr;
@@ -123,14 +124,20 @@ struct SweepCtx {
   std::size_t d = 0;
 };
 
-// One shard's SGD sweep over the contiguous row range [r_lo, r_hi) for
-// dimension ctx.d. Iterating row-by-row keeps the row factor (and row
-// bias) in registers across the row's entries; with kRacy = false the
-// arithmetic sequence is bit-identical to the original per-entry
-// formulation (each shared value is read once per entry, exactly where the
-// reference formulation first read it).
-template <bool kRacy>
-double sweep_rows(const SweepCtx& ctx, std::size_t r_lo, std::size_t r_hi) {
+// One hogwild shard's SGD sweep over the contiguous row range
+// [r_lo, r_hi) for dimension ctx.d. Column state goes through relaxed
+// atomics: the lost-update races on column factors are the intended
+// hogwild semantics, but bare loads/stores of a concurrently written
+// double are UB in the C++ memory model (and ThreadSanitizer findings);
+// relaxed atomics express exactly "tear-free, no ordering".
+double sweep_rows_hogwild(const SweepCtx& ctx, std::size_t r_lo,
+                          std::size_t r_hi) {
+  const auto load = [](double& x) {
+    return std::atomic_ref<double>(x).load(std::memory_order_relaxed);
+  };
+  const auto store = [](double& x, double v) {
+    std::atomic_ref<double>(x).store(v, std::memory_order_relaxed);
+  };
   const bool biases = ctx.col_bias != nullptr;
   double sq_err = 0.0;
   for (std::size_t r = r_lo; r < r_hi; ++r) {
@@ -139,25 +146,110 @@ double sweep_rows(const SweepCtx& ctx, std::size_t r_lo, std::size_t r_hi) {
     for (std::size_t i = ctx.row_ptr[r]; i < ctx.row_ptr[r + 1]; ++i) {
       const std::uint32_t c = ctx.cols[i];
       double& qref = ctx.colf[c * ctx.colf_stride];
-      const double q = shared_load<kRacy>(qref);
+      const double q = load(qref);
       double err = ctx.resid[i] - p * q;
       double bc = 0.0;
       if (biases) {
-        bc = shared_load<kRacy>(ctx.col_bias[c]);
+        bc = load(ctx.col_bias[c]);
         err -= ctx.global_mean + br + bc;
       }
       sq_err += err * err;
       if (biases) {
         br += ctx.lr * (err - ctx.reg * br);
-        shared_store<kRacy>(ctx.col_bias[c],
-                            bc + ctx.lr * (err - ctx.reg * bc));
+        store(ctx.col_bias[c], bc + ctx.lr * (err - ctx.reg * bc));
       }
       const double p_old = p;
       p += ctx.lr * (err * q - ctx.reg * p);
-      shared_store<kRacy>(qref, q + ctx.lr * (err * p_old - ctx.reg * q));
+      store(qref, q + ctx.lr * (err * p_old - ctx.reg * q));
     }
     (*ctx.row_factors)(r, ctx.d) = p;
     if (biases) ctx.row_bias[r] = br;
+  }
+  return sq_err;
+}
+
+// The sequential SGD sweep over [r_lo, r_hi) for dimension ctx.d, run as
+// a two-row wavefront. One SGD step is a long dependent FP chain through
+// the row factor p, so rows r and r+1 are kept in flight together to
+// overlap two chains. The trailing row steps on column c only while c is
+// below the leading row's next column (its bound: the smallest column it
+// has yet to touch). Every column the trailing row reads has then been
+// finished by the leading row, and the leading row never reads a column
+// the trailing row has written: each column sees exactly the reads and
+// writes of the row-major sequential order, so the factors are
+// bit-identical to it. The leading row adds its err^2 straight into the
+// epoch sum; the trailing row parks its err^2 until the leading row
+// retires, so the sum is also accumulated in sequential entry order.
+double sweep_rows_sequential(const SweepCtx& ctx, std::size_t r_lo,
+                             std::size_t r_hi) {
+  if (r_lo >= r_hi) return 0.0;
+  // Locals, not ctx fields: the factor stores below may alias any double
+  // the compiler cannot prove distinct, which would force reloads.
+  const std::size_t* const row_ptr = ctx.row_ptr;
+  const std::uint32_t* const cols = ctx.cols;
+  const std::uint32_t* const bound = ctx.bound;
+  const double* const resid = ctx.resid;
+  double* const colf = ctx.colf;
+  double* const row_bias = ctx.row_bias;
+  double* const col_bias = ctx.col_bias;
+  const bool biases = col_bias != nullptr;
+  const std::size_t stride = ctx.colf_stride;
+  const std::size_t d = ctx.d;
+  const double lr = ctx.lr;
+  const double reg = ctx.reg;
+  const double mean = ctx.global_mean;
+  Matrix& row_factors = *ctx.row_factors;
+
+  // One SGD step on entry i of the row whose factor is p (bias br).
+  const auto step = [&](std::size_t i, double& p, double& br) {
+    const std::uint32_t c = cols[i];
+    double& qref = colf[c * stride];
+    const double q = qref;
+    double err = resid[i] - p * q;
+    if (biases) {
+      const double bc = col_bias[c];
+      err -= mean + br + bc;
+      br += lr * (err - reg * br);
+      col_bias[c] = bc + lr * (err - reg * bc);
+    }
+    const double p_old = p;
+    p += lr * (err * q - reg * p);
+    qref = q + lr * (err * p_old - reg * q);
+    return err * err;
+  };
+
+  // The trailing row's err^2, in entry order. Sized up front: a call in
+  // the loop would spill the in-flight factors around it.
+  std::size_t longest = 0;
+  for (std::size_t r = r_lo; r < r_hi; ++r)
+    longest = std::max(longest, row_ptr[r + 1] - row_ptr[r]);
+  std::vector<double> parked(longest);
+  double sq_err = 0.0;
+  // Leading row r: next entry li, end lend, factor lp, bias lbr.
+  std::size_t li = row_ptr[r_lo];
+  std::size_t lend = row_ptr[r_lo + 1];
+  double lp = row_factors(r_lo, d);
+  double lbr = biases ? row_bias[r_lo] : 0.0;
+  for (std::size_t r = r_lo; r < r_hi; ++r) {
+    // Trailing row r + 1 (empty past the range).
+    const bool has_trail = r + 1 < r_hi;
+    std::size_t ti = row_ptr[r + 1];
+    const std::size_t tend = has_trail ? row_ptr[r + 2] : ti;
+    double tp = has_trail ? row_factors(r + 1, d) : 0.0;
+    double tbr = biases && has_trail ? row_bias[r + 1] : 0.0;
+    std::size_t n_parked = 0;
+    while (li != lend) {
+      sq_err += step(li++, lp, lbr);
+      if (ti != tend && (li == lend || cols[ti] < bound[li]))
+        parked[n_parked++] = step(ti++, tp, tbr);
+    }
+    row_factors(r, d) = lp;
+    if (biases) row_bias[r] = lbr;
+    for (std::size_t k = 0; k < n_parked; ++k) sq_err += parked[k];
+    li = ti;
+    lend = tend;
+    lp = tp;
+    lbr = tbr;
   }
   return sq_err;
 }
@@ -217,6 +309,7 @@ SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
     SweepCtx ctx;
     ctx.row_ptr = es.row_ptr;
     ctx.cols = es.cols;
+    ctx.bound = es.bound;
     ctx.resid = resid.data();
     ctx.row_factors = &model.row_factors;
     ctx.colf = model.col_factors.row(0) + d;
@@ -240,10 +333,10 @@ SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
     double prev_rmse = -1.0;
     for (std::size_t epoch = 0; epoch < config.epochs_per_dim; ++epoch) {
       if (shards == 1) {
-        shard_sq[0] = sweep_rows<false>(ctx, bounds[0], bounds[1]);
+        shard_sq[0] = sweep_rows_sequential(ctx, bounds[0], bounds[1]);
       } else {
         pool->parallel_for(shards, [&](std::size_t s) {
-          shard_sq[s] = sweep_rows<true>(ctx, bounds[s], bounds[s + 1]);
+          shard_sq[s] = sweep_rows_hogwild(ctx, bounds[s], bounds[s + 1]);
         });
       }
       double sq = 0.0;
@@ -381,6 +474,7 @@ SvdModel incremental_svd_sharded(const SparseDataset& data,
         SweepCtx ctx;
         ctx.row_ptr = es.row_ptr;
         ctx.cols = es.cols;
+        ctx.bound = es.bound;
         ctx.resid = resid.data();
         ctx.row_factors = &model.row_factors;
         ctx.colf = wq;
@@ -398,14 +492,14 @@ SvdModel incremental_svd_sharded(const SparseDataset& data,
         const std::size_t shards = sb.size() - 1;
         double sq = 0.0;
         if (shards <= 1) {
-          sq = sweep_rows<false>(ctx, sb.front(), sb.back());
+          sq = sweep_rows_sequential(ctx, sb.front(), sb.back());
         } else {
           // Intra-node hogwild on the node's own pinned pool (this task
           // already runs on it; parallel_for helps while waiting, so the
           // nesting is safe even for one-worker groups).
           std::vector<double> shard_sq(shards, 0.0);
           exec.group(g).parallel_for(shards, [&](std::size_t s) {
-            shard_sq[s] = sweep_rows<true>(ctx, sb[s], sb[s + 1]);
+            shard_sq[s] = sweep_rows_hogwild(ctx, sb[s], sb[s + 1]);
           });
           for (double v : shard_sq) sq += v;
         }

@@ -24,6 +24,13 @@ bool operator==(const SparseRowView& a, const SparseVector& b) {
 }
 
 void normalize(SparseVector& v) {
+  // Already strictly increasing: sorted with nothing to merge, so the
+  // result would be v itself.
+  if (std::adjacent_find(v.begin(), v.end(), [](const auto& a, const auto& b) {
+        return a.first >= b.first;
+      }) == v.end()) {
+    return;
+  }
   std::sort(v.begin(), v.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   SparseVector merged;

@@ -1,5 +1,6 @@
 #include "workload/corpus.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace at::workload {
@@ -10,8 +11,13 @@ CorpusGen::CorpusGen(CorpusConfig config)
       topic_rank_(config.topic_vocab, config.topic_term_skew) {
   if (config_.num_topics == 0 || config_.vocab_size == 0)
     throw std::invalid_argument("CorpusGen: empty config");
-  if (config_.topic_vocab > config_.vocab_size)
-    throw std::invalid_argument("CorpusGen: topic_vocab > vocab_size");
+  // Topic terms are distinct draws from [offset, vocab_size): more than
+  // that range holds could never be drawn.
+  const std::size_t offset = config_.vocab_size / 20;  // skip stopwords
+  if (config_.topic_vocab > config_.vocab_size - offset)
+    throw std::invalid_argument(
+        "CorpusGen: topic_vocab exceeds the topic-drawable vocabulary "
+        "(vocab_size - vocab_size / 20)");
   common::Rng rng(config_.seed);
   topic_terms_.resize(config_.num_topics);
   for (auto& terms : topic_terms_) {
@@ -21,7 +27,6 @@ CorpusGen::CorpusGen(CorpusConfig config)
     terms.reserve(config_.topic_vocab);
     std::vector<bool> used(config_.vocab_size, false);
     while (terms.size() < config_.topic_vocab) {
-      const std::size_t offset = config_.vocab_size / 20;  // skip stopwords
       const auto t = static_cast<std::uint32_t>(
           offset + rng.uniform_index(config_.vocab_size - offset));
       if (used[t]) continue;
@@ -36,18 +41,26 @@ synopsis::SparseVector CorpusGen::make_doc(std::size_t topic,
   const std::size_t len = static_cast<std::size_t>(rng.uniform_int(
       static_cast<std::int64_t>(config_.doc_len_min),
       static_cast<std::int64_t>(config_.doc_len_max)));
-  synopsis::SparseVector counts;
-  counts.reserve(len);
-  for (std::size_t k = 0; k < len; ++k) {
-    std::uint32_t term;
+  std::vector<std::uint32_t> terms(len);
+  for (std::uint32_t& term : terms) {
     if (rng.uniform() < config_.topic_mix) {
       term = topic_terms_[topic][topic_rank_(rng)];
     } else {
       term = static_cast<std::uint32_t>(background_(rng));
     }
-    counts.emplace_back(term, 1.0);
   }
-  synopsis::normalize(counts);
+  // Occurrence counts: sort the token ids and run-length them. Exactly
+  // what normalize() makes of (term, 1.0) pairs (small integer sums are
+  // exact), without sorting pairs.
+  std::sort(terms.begin(), terms.end());
+  synopsis::SparseVector counts;
+  counts.reserve(len);
+  for (std::size_t k = 0; k < len;) {
+    std::size_t run = k + 1;
+    while (run < len && terms[run] == terms[k]) ++run;
+    counts.emplace_back(terms[k], static_cast<double>(run - k));
+    k = run;
+  }
   return counts;
 }
 

@@ -42,6 +42,9 @@ struct SearchWorkload {
 
 class CorpusGen {
  public:
+  /// Throws std::invalid_argument on an empty config or when topic_vocab
+  /// exceeds the vocabulary topic terms are drawn from (all but the
+  /// vocab_size / 20 most frequent background terms).
   explicit CorpusGen(CorpusConfig config);
 
   /// Generates the shards plus `num_queries` topic-focused queries.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace at::workload {
 
@@ -31,21 +30,23 @@ double RatingWorkloadGen::rating_of(std::size_t cluster, std::uint32_t item,
   return std::clamp(r, config_.min_rating, config_.max_rating);
 }
 
-synopsis::SparseVector RatingWorkloadGen::make_user(std::size_t cluster,
-                                                    common::Rng& rng) const {
+synopsis::SparseVector RatingWorkloadGen::make_user(
+    std::size_t cluster, common::Rng& rng,
+    std::vector<std::uint8_t>& chosen) const {
   const std::size_t count = static_cast<std::size_t>(rng.uniform_int(
       static_cast<std::int64_t>(config_.ratings_per_user_min),
       static_cast<std::int64_t>(config_.ratings_per_user_max)));
-  std::unordered_set<std::uint32_t> chosen;
   synopsis::SparseVector ratings;
   ratings.reserve(count);
   std::size_t guard = 0;
-  while (chosen.size() < count && guard < count * 30) {
+  while (ratings.size() < count && guard < count * 30) {
     ++guard;
     const auto item = static_cast<std::uint32_t>(item_popularity_(rng));
-    if (!chosen.insert(item).second) continue;
+    if (chosen[item]) continue;
+    chosen[item] = 1;
     ratings.emplace_back(item, rating_of(cluster, item, rng));
   }
+  for (const auto& [item, r] : ratings) chosen[item] = 0;
   synopsis::normalize(ratings);
   return ratings;
 }
@@ -53,19 +54,21 @@ synopsis::SparseVector RatingWorkloadGen::make_user(std::size_t cluster,
 synopsis::SparseVector RatingWorkloadGen::sample_user(
     common::Rng& rng) const {
   const std::size_t cluster = rng.uniform_index(config_.num_clusters);
-  return make_user(cluster, rng);
+  std::vector<std::uint8_t> chosen(config_.num_items, 0);
+  return make_user(cluster, rng, chosen);
 }
 
 RatingWorkload RatingWorkloadGen::generate(std::size_t num_active_users,
                                            std::size_t targets_per_user) const {
   common::Rng rng(config_.seed ^ 0xa11ceULL);
+  std::vector<std::uint8_t> chosen(config_.num_items, 0);  // reused per user
   RatingWorkload out;
   out.subsets.reserve(config_.num_components);
   for (std::size_t c = 0; c < config_.num_components; ++c) {
     synopsis::SparseRows subset(config_.num_items);
     for (std::size_t u = 0; u < config_.users_per_component; ++u) {
       const std::size_t cluster = rng.uniform_index(config_.num_clusters);
-      subset.add_row(make_user(cluster, rng));
+      subset.add_row(make_user(cluster, rng, chosen));
     }
     out.subsets.push_back(std::move(subset));
   }
@@ -74,7 +77,7 @@ RatingWorkload RatingWorkloadGen::generate(std::size_t num_active_users,
   // the request context, targets come from the withheld 20%.
   for (std::size_t a = 0; a < num_active_users; ++a) {
     const std::size_t cluster = rng.uniform_index(config_.num_clusters);
-    synopsis::SparseVector full = make_user(cluster, rng);
+    synopsis::SparseVector full = make_user(cluster, rng, chosen);
     if (full.size() < 5) continue;
     // Shuffle indices, withhold the last 20%.
     std::vector<std::size_t> idx(full.size());

@@ -64,8 +64,11 @@ class RatingWorkloadGen {
   const RatingConfig& config() const { return config_; }
 
  private:
-  synopsis::SparseVector make_user(std::size_t cluster,
-                                   common::Rng& rng) const;
+  /// `chosen` is an all-zero mask over items; it marks the user's drawn
+  /// items while drawing and is all-zero again on return, so one mask
+  /// serves every user of a generate() call.
+  synopsis::SparseVector make_user(std::size_t cluster, common::Rng& rng,
+                                   std::vector<std::uint8_t>& chosen) const;
   double rating_of(std::size_t cluster, std::uint32_t item,
                    common::Rng& rng) const;
 

@@ -140,6 +140,51 @@ TEST(Zipf, RankZeroDominates) {
   EXPECT_GT(z.pmf(10), z.pmf(99));
 }
 
+// The guide table is a shortcut into the cdf, not a new distribution:
+// every u must land on exactly the rank std::lower_bound picks.
+TEST(Zipf, GuideTableMatchesLowerBound) {
+  // 8000/1.05 and 100/0.9 are the serving benchmark corpus's background
+  // and topic-term laws, 300/0.8 its item popularity.
+  const std::pair<std::size_t, double> shapes[] = {
+      {1, 1.0},   {1, 0.0},   {7, 0.0},    {1000, 0.0}, {8000, 1.05},
+      {100, 0.9}, {300, 0.8}, {1000, 2.5}, {37, 1.2}};
+  for (const auto& [n, s] : shapes) {
+    const ZipfDistribution z(n, s);
+    const std::vector<double>& cdf = z.cdf();
+    ASSERT_EQ(cdf.size(), n);
+    ASSERT_EQ(cdf.back(), 1.0);
+    const auto reference = [&](double u) {
+      return static_cast<std::size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+    };
+    const auto check = [&](double u) {
+      if (!(u >= 0.0 && u <= 1.0)) return;
+      ASSERT_EQ(z.rank_for(u), reference(u))
+          << "n=" << n << " s=" << s << " u=" << u;
+    };
+    // Every cdf value and its neighbours: the ties lower_bound resolves.
+    for (const double c : cdf) {
+      check(c);
+      check(std::nextafter(c, 0.0));
+      check(std::nextafter(c, 2.0));
+    }
+    // Every bucket edge j/n, the products u*n round across, and both ends.
+    for (std::size_t j = 0; j <= n; ++j) {
+      const double edge = static_cast<double>(j) / static_cast<double>(n);
+      check(edge);
+      check(std::nextafter(edge, 0.0));
+      check(std::nextafter(edge, 2.0));
+    }
+    check(0.0);
+    check(1.0);
+    check(std::nextafter(1.0, 0.0));
+    // Random draws, through sample() itself (10^6+ over all shapes).
+    Rng a(n * 31 + 7), b(n * 31 + 7);
+    for (int i = 0; i < 200'000; ++i)
+      ASSERT_EQ(z.sample(a), reference(b.uniform())) << "n=" << n;
+  }
+}
+
 TEST(Zipf, EmpiricalHeadFrequencyMatchesPmf) {
   ZipfDistribution z(100, 1.0);
   Rng rng(3);

@@ -1,11 +1,14 @@
 // Unit tests for the dense matrix helpers and the incremental SVD.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
 #include "linalg/svd.h"
+#include "workload/corpus.h"
 
 namespace at::linalg {
 namespace {
@@ -315,6 +318,192 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SvdShapes,
                                            std::make_tuple(16, 16),
                                            std::make_tuple(64, 8),
                                            std::make_tuple(8, 64)));
+
+// Plain per-entry reference of incremental_svd's deterministic path: one
+// SGD step per entry in row-major order, every factor read from and
+// written back to the model at once, nothing in flight. The library's
+// sweep must reproduce it bit for bit.
+struct ReferenceRun {
+  SvdModel model;
+  std::vector<std::size_t> epochs;  // epochs each dimension ran
+  std::vector<double> rmse;         // every epoch's rmse, in training order
+};
+
+ReferenceRun reference_svd(const SparseDataset& input,
+                           const SvdConfig& config) {
+  SparseDataset data = input;
+  if (!data.has_csr()) data.build_csr();
+  const std::size_t count = data.col_idx.size();
+  common::Rng rng(config.seed);
+  ReferenceRun run;
+  SvdModel& m = run.model;
+  m.row_factors = Matrix(data.rows, config.rank);
+  m.col_factors = Matrix(data.cols, config.rank);
+  for (std::size_t r = 0; r < data.rows; ++r)
+    for (std::size_t d = 0; d < config.rank; ++d)
+      m.row_factors(r, d) = config.init_scale * (rng.uniform() - 0.5);
+  for (std::size_t c = 0; c < data.cols; ++c)
+    for (std::size_t d = 0; d < config.rank; ++d)
+      m.col_factors(c, d) = config.init_scale * (rng.uniform() - 0.5);
+  const bool biases = config.use_biases;
+  if (biases) {
+    double sum = 0.0;
+    for (const double v : data.values) sum += v;
+    m.global_mean = sum / static_cast<double>(count);
+    m.row_bias.assign(data.rows, 0.0);
+    m.col_bias.assign(data.cols, 0.0);
+  }
+  const double lr = config.learning_rate;
+  const double reg = config.regularization;
+  std::vector<double> resid = data.values;
+  for (std::size_t d = 0; d < config.rank; ++d) {
+    double prev_rmse = -1.0;
+    std::size_t epoch = 0;
+    for (; epoch < config.epochs_per_dim; ++epoch) {
+      double sq = 0.0;
+      for (std::size_t r = 0; r < data.rows; ++r) {
+        for (std::size_t i = data.row_ptr[r]; i < data.row_ptr[r + 1]; ++i) {
+          const std::uint32_t c = data.col_idx[i];
+          const double p = m.row_factors(r, d);
+          const double q = m.col_factors(c, d);
+          double err = resid[i] - p * q;
+          if (biases) {
+            const double br = m.row_bias[r];
+            const double bc = m.col_bias[c];
+            err -= m.global_mean + br + bc;
+            m.row_bias[r] = br + lr * (err - reg * br);
+            m.col_bias[c] = bc + lr * (err - reg * bc);
+          }
+          sq += err * err;
+          m.row_factors(r, d) = p + lr * (err * q - reg * p);
+          m.col_factors(c, d) = q + lr * (err * p - reg * q);
+        }
+      }
+      const double rmse = std::sqrt(sq / static_cast<double>(count));
+      run.rmse.push_back(rmse);
+      if (config.min_improvement > 0.0 && prev_rmse >= 0.0 &&
+          prev_rmse - rmse < config.min_improvement) {
+        break;
+      }
+      prev_rmse = rmse;
+    }
+    run.epochs.push_back(epoch);
+    for (std::size_t r = 0; r < data.rows; ++r)
+      for (std::size_t i = data.row_ptr[r]; i < data.row_ptr[r + 1]; ++i)
+        resid[i] -= m.row_factors(r, d) * m.col_factors(data.col_idx[i], d);
+  }
+  m.train_rmse = reconstruction_rmse(m, input);
+  return run;
+}
+
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+void expect_bit_identical(const SvdModel& a, const SvdModel& b) {
+  ASSERT_EQ(a.row_factors.rows(), b.row_factors.rows());
+  ASSERT_EQ(a.col_factors.rows(), b.col_factors.rows());
+  ASSERT_EQ(a.row_bias.size(), b.row_bias.size());
+  ASSERT_EQ(a.col_bias.size(), b.col_bias.size());
+  EXPECT_TRUE(same_bits(a.row_factors.row(0), b.row_factors.row(0),
+                        a.row_factors.rows() * a.row_factors.cols()));
+  EXPECT_TRUE(same_bits(a.col_factors.row(0), b.col_factors.row(0),
+                        a.col_factors.rows() * a.col_factors.cols()));
+  EXPECT_TRUE(same_bits(a.row_bias.data(), b.row_bias.data(),
+                        a.row_bias.size()));
+  EXPECT_TRUE(same_bits(a.col_bias.data(), b.col_bias.data(),
+                        a.col_bias.size()));
+  EXPECT_TRUE(same_bits(&a.global_mean, &b.global_mean, 1));
+  EXPECT_TRUE(same_bits(&a.train_rmse, &b.train_rmse, 1));
+}
+
+// Rows of every awkward length: an empty first and last row, empty and
+// one-entry rows throughout, an odd row count. Sorted unique columns per
+// row (the SparseRows shape) unless `coo_shuffle`, which emits the entries
+// in random order with repeated (row, column) pairs, so CSR rows come out
+// unsorted with duplicate columns.
+SparseDataset ragged_dataset(bool coo_shuffle) {
+  common::Rng rng(99);
+  SparseDataset ds;
+  ds.rows = 43;
+  ds.cols = 30;
+  for (std::uint32_t r = 0; r < ds.rows; ++r) {
+    if (r % 6 == 0) continue;  // rows 0 and 42 included
+    if (r % 6 == 1) {
+      ds.entries.push_back(
+          {r, static_cast<std::uint32_t>(rng.uniform_index(ds.cols)),
+           rng.uniform(1.0, 5.0)});
+      continue;
+    }
+    for (std::uint32_t c = 0; c < ds.cols; ++c) {
+      if (rng.uniform() < 0.4)
+        ds.entries.push_back({r, c, rng.uniform(1.0, 5.0)});
+    }
+  }
+  if (coo_shuffle) {
+    const std::size_t n = ds.entries.size();
+    for (std::size_t k = 0; k < n / 4; ++k) {
+      auto dup = ds.entries[rng.uniform_index(n)];
+      dup.value = rng.uniform(1.0, 5.0);
+      ds.entries.push_back(dup);
+    }
+    for (std::size_t i = ds.entries.size(); i > 1; --i)
+      std::swap(ds.entries[i - 1], ds.entries[rng.uniform_index(i)]);
+  } else {
+    ds.build_csr();
+  }
+  return ds;
+}
+
+TEST(SvdSweepParity, MatchesPerEntryReferenceBitForBit) {
+  workload::CorpusConfig ccfg;
+  ccfg.num_components = 2;
+  ccfg.docs_per_component = 300;
+  ccfg.vocab_size = 1500;
+  const auto corpus = workload::CorpusGen(ccfg).generate(0);
+  std::vector<std::pair<const char*, SparseDataset>> inputs;
+  inputs.emplace_back("corpus shard 0", corpus.shards[0].to_dataset());
+  inputs.emplace_back("corpus shard 1", corpus.shards[1].to_dataset());
+  inputs.emplace_back("ragged rows", ragged_dataset(false));
+  inputs.emplace_back("unsorted rows, repeated columns", ragged_dataset(true));
+
+  for (const auto& [name, data] : inputs) {
+    for (const bool biases : {false, true}) {
+      SvdConfig cfg;
+      cfg.rank = 3;
+      cfg.epochs_per_dim = 12;
+      cfg.use_biases = biases;
+      SCOPED_TRACE(::testing::Message() << name << ", biases=" << biases);
+      const ReferenceRun full = reference_svd(data, cfg);
+      expect_bit_identical(incremental_svd(data, cfg), full.model);
+
+      // Early stopping that fires after some real training, so stopping
+      // one epoch early or late would change the factors.
+      cfg.epochs_per_dim = 400;
+      cfg.min_improvement = 2e-5;
+      const ReferenceRun stopped = reference_svd(data, cfg);
+      const std::size_t longest =
+          *std::max_element(stopped.epochs.begin(), stopped.epochs.end());
+      EXPECT_LT(longest, cfg.epochs_per_dim);
+      EXPECT_GT(longest, 3u);
+      expect_bit_identical(incremental_svd(data, cfg), stopped.model);
+
+      // On the knife edge: the threshold is exactly dimension 0's smallest
+      // improvement over its 12 epochs, so the reference never stops in
+      // dimension 0. An epoch error summed in any other order than the
+      // sequential one is likely an ulp off and may stop there instead.
+      cfg.epochs_per_dim = 12;
+      cfg.min_improvement = full.rmse[0] - full.rmse[1];
+      for (std::size_t e = 2; e < cfg.epochs_per_dim; ++e)
+        cfg.min_improvement =
+            std::min(cfg.min_improvement, full.rmse[e - 1] - full.rmse[e]);
+      ASSERT_GT(cfg.min_improvement, 0.0);
+      const ReferenceRun edge = reference_svd(data, cfg);
+      EXPECT_EQ(edge.epochs[0], cfg.epochs_per_dim);
+      expect_bit_identical(incremental_svd(data, cfg), edge.model);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace at::linalg

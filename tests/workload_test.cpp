@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "services/recommender/cf.h"
@@ -196,6 +197,97 @@ TEST(Corpus, DeterministicForSeed) {
     EXPECT_EQ(wa.shards[0].row(d), wb.shards[0].row(d));
   for (std::size_t q = 0; q < 5; ++q)
     EXPECT_EQ(wa.queries[q].terms, wb.queries[q].terms);
+}
+
+TEST(Corpus, RejectsTopicVocabBeyondDrawableRange) {
+  // Topic terms are distinct draws from [vocab_size / 20, vocab_size): with
+  // 100 terms that is 95 ids, so 96 could never be filled (the constructor
+  // used to loop forever).
+  CorpusConfig cfg;
+  cfg.vocab_size = 100;
+  cfg.topic_vocab = 96;
+  EXPECT_THROW(CorpusGen{cfg}, std::invalid_argument);
+  cfg.topic_vocab = 95;
+  const CorpusGen full(cfg);
+  EXPECT_EQ(full.config().topic_vocab, 95u);
+}
+
+// FNV-1a over the exact bits of the synthesized data: row lengths,
+// columns and value bit patterns. Any change to the draws, their order or
+// the arithmetic that turns them into values changes the digest.
+class Fnv {
+ public:
+  void u64(std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h_ ^= (x >> (8 * b)) & 0xffu;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void f64(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  template <typename Row>
+  void row(const Row& r) {
+    u64(r.size());
+    for (const auto& [c, v] : r) {
+      u64(c);
+      f64(v);
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// The serving benchmark and every experiment assume a fixed synthesized
+// data set per seed. These digests pin the generators' output on reduced
+// configs shaped like the benchmark's fixture (same vocabulary, topics,
+// items, clusters and seed): a generator optimization must reproduce them
+// bit for bit.
+TEST(GeneratorChecksum, CorpusIsPinned) {
+  CorpusConfig cfg;
+  cfg.num_components = 4;
+  cfg.docs_per_component = 250;
+  cfg.vocab_size = 8000;
+  cfg.num_topics = 48;
+  cfg.topic_vocab = 100;
+  cfg.seed = 20160816;
+  const auto wl = CorpusGen(cfg).generate(16);
+  Fnv h;
+  for (const auto& shard : wl.shards) {
+    h.u64(shard.rows());
+    for (std::uint32_t d = 0; d < shard.rows(); ++d) h.row(shard.row(d));
+  }
+  for (const auto& q : wl.queries) {
+    h.u64(q.terms.size());
+    for (auto t : q.terms) h.u64(t);
+  }
+  EXPECT_EQ(h.value(), 0xacef15a28a6121c3ULL);
+}
+
+TEST(GeneratorChecksum, RatingsArePinned) {
+  RatingConfig cfg;
+  cfg.num_components = 2;
+  cfg.users_per_component = 120;
+  cfg.num_items = 300;
+  cfg.num_clusters = 20;
+  cfg.seed = 20160816;
+  const auto wl = RatingWorkloadGen(cfg).generate(8, 3);
+  Fnv h;
+  for (const auto& subset : wl.subsets) {
+    h.u64(subset.rows());
+    for (std::uint32_t u = 0; u < subset.rows(); ++u) h.row(subset.row(u));
+  }
+  for (std::size_t r = 0; r < wl.requests.size(); ++r) {
+    h.row(wl.requests[r].ratings);
+    h.f64(wl.requests[r].rating_mean);
+    h.u64(wl.requests[r].target_item);
+    h.f64(wl.actuals[r]);
+  }
+  EXPECT_EQ(h.value(), 0xe1fbb8cfd938053fULL);
 }
 
 TEST(Diurnal, AnchorsAndScaling) {
