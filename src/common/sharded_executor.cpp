@@ -105,8 +105,8 @@ std::size_t ShardedExecutor::total_workers() const {
 
 std::size_t ShardedExecutor::current_group() { return t_current_group; }
 
-void ShardedExecutor::wait_all(std::vector<std::future<void>>& futs) {
-  std::exception_ptr first;
+void ShardedExecutor::wait_all(std::vector<std::future<void>>& futs,
+                               std::exception_ptr first) {
   for (auto& f : futs) {
     try {
       f.get();
@@ -142,21 +142,26 @@ void ShardedExecutor::for_each_shard_grouped(
   // fail — both must surface as degraded-tier answers, never crashes.
   AT_FAILPOINT("executor.dispatch");
   const std::size_t G = groups_.size();
+  // Shards homed on g: g, g + G, g + 2G, ...
+  const auto run_group = [this, n, G, &fn](std::size_t g) {
+    groups_[g].pool->parallel_for((n - g + G - 1) / G,
+                                  [&](std::size_t i) { fn(g + i * G); });
+  };
   std::vector<std::future<void>> futs;
-  futs.reserve(std::min(G, n));
-  for (std::size_t g = 0; g < G && g < n; ++g) {
-    futs.push_back(groups_[g].pool->submit([this, g, n, G, &fn] {
-      // Shards homed on g: g, g + G, g + 2G, ...
-      const std::size_t count = (n - g + G - 1) / G;
-      if (count > 1 && groups_[g].pool->size() > 1) {
-        groups_[g].pool->parallel_for(
-            count, [&](std::size_t i) { fn(g + i * G); });
-      } else {
-        for (std::size_t s = g; s < n; s += G) fn(s);
-      }
-    }));
+  futs.reserve(std::min(G, n) - 1);
+  for (std::size_t g = 1; g < G && g < n; ++g) {
+    futs.push_back(groups_[g].pool->submit([g, &run_group] { run_group(g); }));
   }
-  wait_all(futs);
+  // Group 0's share runs from the calling thread, so a one-node fan-out is
+  // a single parallel_for with no extra handoff. The other groups' tasks
+  // reference this frame: wait for all of them before rethrowing.
+  std::exception_ptr first;
+  try {
+    run_group(0);
+  } catch (...) {
+    first = std::current_exception();
+  }
+  wait_all(futs, first);
 }
 
 void ShardedExecutor::for_each_group(

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -87,7 +88,7 @@ class ShardedExecutor {
  public:
   /// One pinned worker group + arena per node of `topo` (defaults to the
   /// AT_TOPOLOGY-resolved machine layout). Each group spawns one worker
-  /// per node CPU, pinned to it.
+  /// per node CPU, every worker pinned to the node's CPU set.
   explicit ShardedExecutor(const Topology& topo = active_topology());
 
   ShardedExecutor(const ShardedExecutor&) = delete;
@@ -121,12 +122,12 @@ class ShardedExecutor {
   void for_each_shard(std::size_t n,
                       const std::function<void(std::size_t)>& fn);
 
-  /// Same contract, but dispatches ONE task per group which runs (or fans
-  /// out on the group's own pool) every shard homed there. O(groups)
-  /// dispatch overhead instead of O(n) — right for per-query fan-out,
-  /// where task bookkeeping would otherwise rival the scan itself; on a
-  /// one-group machine it degrades to a single task over all shards,
-  /// matching the plain pool's chunking.
+  /// Same contract, but each group runs the shards homed on it as one
+  /// parallel_for on its own pool: one task per other group, while the
+  /// calling thread drives group 0's share itself. O(groups) dispatch
+  /// overhead instead of O(n) — right for per-query fan-out, where task
+  /// bookkeeping would otherwise rival the scan itself; on a one-group
+  /// machine it is exactly one parallel_for over all shards.
   void for_each_shard_grouped(std::size_t n,
                               const std::function<void(std::size_t)>& fn);
 
@@ -149,7 +150,10 @@ class ShardedExecutor {
     std::unique_ptr<ThreadPool> pool;
   };
 
-  static void wait_all(std::vector<std::future<void>>& futs);
+  /// Waits for every future, then rethrows `first` if set, else the first
+  /// exception a future carried.
+  static void wait_all(std::vector<std::future<void>>& futs,
+                       std::exception_ptr first = nullptr);
 
   Topology topo_;
   std::vector<Group> groups_;

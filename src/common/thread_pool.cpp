@@ -12,16 +12,21 @@ namespace at::common {
 
 namespace {
 
-void pin_current_thread(int cpu) {
+/// Restricts the calling thread to the CPUs in `cpus` (one node's set).
+/// Node-wide rather than per-CPU: a worker woken while one of the node's
+/// CPUs is busy can run on another instead of waiting for that one.
+void pin_current_thread(const std::vector<int>& cpus) {
 #if defined(__linux__)
   cpu_set_t mask;
   CPU_ZERO(&mask);
-  CPU_SET(cpu, &mask);
+  for (int cpu : cpus) {
+    if (cpu >= 0 && cpu < CPU_SETSIZE) CPU_SET(cpu, &mask);
+  }
   // Best effort: an out-of-mask CPU or a restricted environment leaves the
   // worker unpinned, which only costs locality, never correctness.
   (void)pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask);
 #else
-  (void)cpu;
+  (void)cpus;
 #endif
 }
 
@@ -42,9 +47,8 @@ ThreadPool::ThreadPool(const std::vector<int>& pin_cpus,
   const std::size_t threads = std::max<std::size_t>(1, pin_cpus.size());
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    const int cpu = pin_cpus.empty() ? -1 : pin_cpus[i];
-    workers_.emplace_back([this, i, cpu, on_worker_start] {
-      if (cpu >= 0) pin_current_thread(cpu);
+    workers_.emplace_back([this, i, pin_cpus, on_worker_start] {
+      if (!pin_cpus.empty()) pin_current_thread(pin_cpus);
       worker_loop(on_worker_start, i);
     });
   }

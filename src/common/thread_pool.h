@@ -23,12 +23,13 @@ class ThreadPool {
   /// threads == 0 means hardware_concurrency (at least 1).
   explicit ThreadPool(std::size_t threads = 0);
 
-  /// Spawns one worker per entry of `pin_cpus`, each pinned (best effort —
-  /// a failed sched_setaffinity is ignored, non-Linux builds never pin) to
-  /// that logical CPU. The same CPU may appear repeatedly (simulated
-  /// multi-node layouts on small machines). When `on_worker_start` is set
-  /// it runs first inside each new worker thread, with the worker's index;
-  /// the executor uses it to label workers with their home node.
+  /// Spawns one worker per entry of `pin_cpus`, each restricted (best
+  /// effort — a failed sched_setaffinity is ignored, non-Linux builds never
+  /// pin) to the set of CPUs listed. The same CPU may appear repeatedly
+  /// (simulated multi-node layouts on small machines). When
+  /// `on_worker_start` is set it runs first inside each new worker thread,
+  /// with the worker's index; the executor uses it to label workers with
+  /// their home node.
   explicit ThreadPool(const std::vector<int>& pin_cpus,
                       std::function<void(std::size_t)> on_worker_start = {});
 

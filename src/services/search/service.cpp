@@ -7,7 +7,6 @@
 #include <string>
 
 #include "common/failpoint.h"
-#include "common/thread_annotations.h"
 #include "core/algorithm1.h"
 
 namespace at::search {
@@ -79,22 +78,14 @@ void SearchService::enable_query_cache(std::size_t capacity) {
   cache_ = std::make_unique<QueryCache>(capacity);
 }
 
-void SearchService::set_pool(common::ThreadPool* pool) {
-  pool_ = pool;
-  if (exec_ != nullptr) return;  // executor assignment wins until cleared
-  for (auto& c : components_) c.set_pool(pool);
-}
-
 void SearchService::set_executor(common::ShardedExecutor* exec) {
   exec_ = exec;
-  if (exec_ != nullptr) {
-    // Each component's internal parallelism (synopsis updates, rebuilds)
-    // runs on its home node's pinned pool, so the shard's pages stay
-    // node-local as the data evolves.
-    for (std::size_t c = 0; c < components_.size(); ++c)
-      components_[c].set_pool(&exec_->group(exec_->home_group(c)));
-  } else {
-    for (auto& c : components_) c.set_pool(pool_);
+  // Each component's internal parallelism (synopsis updates, rebuilds)
+  // runs on its home node's pinned pool, so the shard's pages stay
+  // node-local as the data evolves; without an executor it runs inline.
+  for (std::size_t c = 0; c < components_.size(); ++c) {
+    components_[c].set_pool(
+        exec_ != nullptr ? &exec_->group(exec_->home_group(c)) : nullptr);
   }
 }
 
@@ -116,45 +107,26 @@ synopsis::UpdateReport SearchService::update_component(
   return report;
 }
 
-void SearchService::fan_out_topk(
-    const std::function<std::vector<ScoredDoc>(std::size_t)>& scan,
-    TopK& top) const {
+void SearchService::for_each_component(
+    const std::function<void(std::size_t)>& fn) const {
   if (exec_ != nullptr && components_.size() > 1) {
-    // Topology path: every component scans on its home group and offers
-    // into its node's heap; the tiny per-node heaps merge at the end
-    // instead of funneling every local list through one thread. `better`
-    // is a strict total order over unique doc ids, so heap contents are
-    // insertion-order independent and the merged result is identical to
-    // the sequential component-order scan.
-    const std::size_t groups = exec_->num_groups();
-    std::vector<TopK> node_tops(groups, TopK(top.k()));
-    std::vector<common::Mutex> node_locks(groups);
-    exec_->for_each_shard_grouped(components_.size(), [&](std::size_t c) {
-      const auto local = scan(c);
-      if (local.empty()) return;
-      const std::size_t g = exec_->home_group(c);
-      common::MutexLock lock(node_locks[g]);
-      for (const auto& d : local) node_tops[g].offer(d);
-    });
-    for (const auto& nt : node_tops) {
-      for (const auto& d : nt.take()) top.offer(d);
-    }
-    return;
+    exec_->for_each_shard_grouped(components_.size(), fn);
+  } else {
+    for (std::size_t c = 0; c < components_.size(); ++c) fn(c);
   }
-  if (pool_ != nullptr && components_.size() > 1) {
-    // Fan the local scans out across the pool; merge in component order so
-    // the result is identical to the sequential path.
-    std::vector<std::vector<ScoredDoc>> locals(components_.size());
-    pool_->parallel_for(components_.size(),
-                        [&](std::size_t c) { locals[c] = scan(c); });
-    for (const auto& local : locals) {
-      for (const auto& d : local) top.offer(d);
-    }
-    return;
+}
+
+std::vector<ScoredDoc> SearchService::fan_out_topk(
+    const std::function<std::vector<ScoredDoc>(std::size_t)>& scan) const {
+  std::vector<std::vector<ScoredDoc>> locals(components_.size());
+  for_each_component([&](std::size_t c) { locals[c] = scan(c); });
+  // Merge in component order. `better` is a strict total order over unique
+  // doc ids, so the result does not depend on which thread scanned what.
+  TopK top(k_);
+  for (const auto& local : locals) {
+    for (const auto& d : local) top.offer(d);
   }
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    for (const auto& d : scan(c)) top.offer(d);
-  }
+  return top.take();
 }
 
 std::vector<ScoredDoc> SearchService::exact_topk(
@@ -173,11 +145,8 @@ std::vector<ScoredDoc> SearchService::exact_topk(
       return cached;
     }
   }
-  TopK top(k_);
-  fan_out_topk(
-      [&](std::size_t c) { return components_[c].exact_topk(request, k_); },
-      top);
-  auto result = top.take();
+  auto result = fan_out_topk(
+      [&](std::size_t c) { return components_[c].exact_topk(request, k_); });
   if (cache_ != nullptr && data_version() == v) {
     cache_->insert(request.terms, result, ResultMeta{0.0, v, false});
   }
@@ -187,39 +156,33 @@ std::vector<ScoredDoc> SearchService::exact_topk(
 std::vector<ScoredDoc> SearchService::exact_topk_partial(
     const SearchRequest& request, std::size_t* components_ok) const {
   std::atomic<std::size_t> ok{0};
-  TopK top(k_);
-  fan_out_topk(
-      [&](std::size_t c) -> std::vector<ScoredDoc> {
-        try {
-          // Fault-injection sites: "server.scan" kills every component's
-          // scan, "server.scan.c<C>" kills one component (its home
-          // executor group) mid-query.
-          if (common::failpoint::any_armed()) {
-            common::failpoint::check_throw("server.scan");
-            common::failpoint::check_throw(
-                ("server.scan.c" + std::to_string(c)).c_str());
-          }
-          auto local = components_[c].exact_topk(request, k_);
-          ok.fetch_add(1, std::memory_order_relaxed);
-          return local;
-        } catch (...) {
-          // The component is unavailable (its group died mid-query, its
-          // scan hit an injected fault); the merge proceeds without it.
-          return {};
-        }
-      },
-      top);
+  auto result = fan_out_topk([&](std::size_t c) -> std::vector<ScoredDoc> {
+    try {
+      // Fault-injection sites: "server.scan" kills every component's
+      // scan, "server.scan.c<C>" kills one component (its home
+      // executor group) mid-query.
+      if (common::failpoint::any_armed()) {
+        common::failpoint::check_throw("server.scan");
+        common::failpoint::check_throw(
+            ("server.scan.c" + std::to_string(c)).c_str());
+      }
+      auto local = components_[c].exact_topk(request, k_);
+      ok.fetch_add(1, std::memory_order_relaxed);
+      return local;
+    } catch (...) {
+      // The component is unavailable (its group died mid-query, its
+      // scan hit an injected fault); the merge proceeds without it.
+      return {};
+    }
+  });
   if (components_ok != nullptr) *components_ok = ok.load();
-  return top.take();
+  return result;
 }
 
 std::vector<ScoredDoc> SearchService::synopsis_topk(
     const SearchRequest& request) const {
-  TopK top(k_);
-  fan_out_topk(
-      [&](std::size_t c) { return components_[c].synopsis_topk(request, k_); },
-      top);
-  return top.take();
+  return fan_out_topk(
+      [&](std::size_t c) { return components_[c].synopsis_topk(request, k_); });
 }
 
 void SearchService::reload_component(std::size_t c, std::istream& is) {
@@ -252,19 +215,15 @@ std::vector<ScoredDoc> SearchService::retrieve(
     throw std::invalid_argument("SearchService::retrieve: outcome mismatch");
 
   if (technique == Technique::kPartialExecution) {
-    TopK top(k_);
-    fan_out_topk(
-        [&](std::size_t c) -> std::vector<ScoredDoc> {
-          if (!outcomes[c].included) return {};
-          return components_[c].exact_topk(request, k_);
-        },
-        top);
-    return top.take();
+    return fan_out_topk([&](std::size_t c) -> std::vector<ScoredDoc> {
+      if (!outcomes[c].included) return {};
+      return components_[c].exact_topk(request, k_);
+    });
   }
 
   // AccuracyTrader: union of the exactly scored pages from each
   // component's processed ranked sets. The per-component analysis (synopsis
-  // correlations + exact member scoring) fans out across the pool; the
+  // correlations + exact member scoring) fans out across the executor; the
   // merge below walks components in order, so results are identical to the
   // sequential path.
   TopK top(k_);
@@ -283,18 +242,8 @@ std::vector<ScoredDoc> SearchService::retrieve(
   std::vector<std::shared_ptr<const SearchSnapshot>> snaps(components_.size());
   for (std::size_t c = 0; c < components_.size(); ++c)
     snaps[c] = components_[c].snapshot();
-  if (exec_ != nullptr && components_.size() > 1) {
-    exec_->for_each_shard_grouped(components_.size(), [&](std::size_t c) {
-      works[c] = snaps[c]->analyze(request);
-    });
-  } else if (pool_ != nullptr && components_.size() > 1) {
-    pool_->parallel_for(components_.size(), [&](std::size_t c) {
-      works[c] = snaps[c]->analyze(request);
-    });
-  } else {
-    for (std::size_t c = 0; c < components_.size(); ++c)
-      works[c] = snaps[c]->analyze(request);
-  }
+  for_each_component(
+      [&](std::size_t c) { works[c] = snaps[c]->analyze(request); });
   for (std::size_t c = 0; c < components_.size(); ++c) {
     const SearchComponentWork& work = works[c];
     const auto ranked = core::rank_by_correlation(work.correlations);

@@ -70,21 +70,13 @@ class SearchService {
   void enable_query_cache(std::size_t capacity);
   const QueryCache* query_cache() const { return cache_.get(); }
 
-  /// Installs a thread pool: per-component work (local top-k scans,
-  /// request analysis, synopsis updates) fans out across it. Results are
-  /// merged in component order, so they match the sequential path. The
-  /// caller owns the pool's lifetime; pass nullptr to go sequential.
-  void set_pool(common::ThreadPool* pool);
-
-  /// Installs a topology-aware executor (overrides any set_pool): every
-  /// component is assigned a home group (round-robin over the executor's
-  /// nodes), its update/build work runs on that group's pinned pool, and
-  /// query fan-out dispatches each component to its home group, collecting
-  /// into one top-k heap per node that is merged at the end. The scoring
-  /// order (score desc, doc asc) is a strict total order over globally
-  /// unique doc ids, so the per-node merge is bit-identical to the
-  /// sequential component-order scan (pinned by tests). The caller owns
-  /// the executor's lifetime; pass nullptr to fall back to the plain pool.
+  /// Installs a topology-aware executor: every component is assigned a
+  /// home group (round-robin over the executor's nodes), its update/build
+  /// work runs on that group's pinned pool, and query fan-out dispatches
+  /// each component to its home group. The per-component lists merge in
+  /// component order, so results are bit-identical to the sequential scan
+  /// (pinned by tests). The caller owns the executor's lifetime; pass
+  /// nullptr to run every component sequentially on the calling thread.
   void set_executor(common::ShardedExecutor* exec);
   common::ShardedExecutor* executor() const { return exec_; }
 
@@ -142,13 +134,15 @@ class SearchService {
                                     ComponentOutcome outcome) const;
 
  private:
-  /// Runs the per-component scan and merges the locals into `top`: on the
-  /// executor via per-node heaps, else on the pool / sequentially in
-  /// component order. `scan` returns the component's local top-k (empty
-  /// for skipped components).
-  void fan_out_topk(
-      const std::function<std::vector<ScoredDoc>(std::size_t)>& scan,
-      TopK& top) const;
+  /// Runs fn(c) for every component: one grouped executor dispatch when an
+  /// executor is installed, else a sequential loop.
+  void for_each_component(const std::function<void(std::size_t)>& fn) const;
+
+  /// Runs the per-component scan and merges the locals in component order
+  /// into the global top-k. `scan` returns the component's local top-k
+  /// (empty for skipped components).
+  std::vector<ScoredDoc> fan_out_topk(
+      const std::function<std::vector<ScoredDoc>(std::size_t)>& scan) const;
 
   /// Recomputes the corpus-global idf from current component contents and
   /// publishes it into every component (each a cheap epoch).
@@ -158,7 +152,6 @@ class SearchService {
   std::size_t k_;
   std::atomic<std::size_t> total_docs_{0};
   std::unique_ptr<QueryCache> cache_;
-  common::ThreadPool* pool_ = nullptr;
   common::ShardedExecutor* exec_ = nullptr;
 };
 

@@ -651,6 +651,33 @@ TEST_F(ServerTest, NothingLeftSheds) {
   srv.stop();
 }
 
+TEST_F(ServerTest, DispatchWaitCountsAgainstTheDeadline) {
+  // A request held up between enqueue and dispatch (a scheduler hiccup)
+  // has spent its budget before any rung runs: it must not be answered
+  // full-tier late. Nothing is cached for these terms, so it sheds.
+  auto& fx = fixture();
+  Server srv(*fx.service, nullptr, *fx.exec, test_server_config());
+  srv.start();
+  Client client(client_config(srv.port(), /*retries=*/0));
+  const auto& terms = fx.queries[20].terms;
+
+  fp::set("server.dispatch", "delay:100:x1");
+  Response resp;
+  std::string err;
+  EXPECT_FALSE(client.search(terms, 20, 10, &resp, &err));
+  EXPECT_EQ(resp.status, Status::kShed);
+  EXPECT_NE(resp.tier, Tier::kFull);
+  EXPECT_GE(resp.server_ms, 100.0);
+
+  // The failpoint fired once; the next request is served in full.
+  Response next;
+  ASSERT_TRUE(client.search(terms, 1000, 10, &next, &err)) << err;
+  EXPECT_EQ(next.status, Status::kOk);
+  EXPECT_EQ(next.tier, Tier::kFull);
+  EXPECT_DOUBLE_EQ(next.est_loss_pct, 0.0);
+  srv.stop();
+}
+
 TEST_F(ServerTest, ShortWriteDropsConnectionAndClientRetries) {
   auto& fx = fixture();
   Server srv(*fx.service, nullptr, *fx.exec, test_server_config());

@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -282,6 +284,50 @@ TEST(ShardedExecutorTest, PropagatesShardExceptions) {
   EXPECT_EQ(completed.load(), 7);  // siblings all still ran
 }
 
+TEST(ShardedExecutorTest,
+     GroupedDispatchRunsEachShardOnceAndRethrowsAfterAll) {
+  for (std::size_t nodes : {1u, 2u, 4u}) {
+    ShardedExecutor exec(common::simulated_topology(nodes));
+    for (std::size_t n : {0u, 1u, 3u, 23u}) {
+      std::vector<std::atomic<int>> runs(n);
+      exec.for_each_shard_grouped(n, [&](std::size_t s) {
+        runs[s].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t s = 0; s < n; ++s)
+        EXPECT_EQ(runs[s].load(), 1) << nodes << " nodes, shard " << s;
+      if (n == 0) continue;
+
+      // Non-throwing shards sleep briefly, so a dispatcher that rethrew
+      // early would return while siblings are still running. Shard n-1 is
+      // the last of its group's share, so every other shard must run;
+      // shard 0 is the first of the calling thread's share (a throw ends
+      // its chunk, so only in-flight shards are checked).
+      for (std::size_t thrower : {n - 1, std::size_t{0}}) {
+        std::atomic<std::size_t> started{0};
+        std::atomic<std::size_t> finished{0};
+        try {
+          exec.for_each_shard_grouped(n, [&](std::size_t s) {
+            if (s == thrower) throw std::runtime_error("shard failed");
+            started.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            finished.fetch_add(1);
+          });
+          FAIL() << "expected the shard's exception";
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "shard failed");
+        }
+        const std::size_t done = finished.load();
+        EXPECT_EQ(started.load(), done) << "shard still running at rethrow";
+        if (thrower == n - 1) {
+          EXPECT_EQ(done, n - 1);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        EXPECT_EQ(started.load(), done) << "shard started after rethrow";
+      }
+    }
+  }
+}
+
 // The regression the help-while-waiting parallel_for exists for: a task
 // running ON a one-worker group fans out on that same group. Without
 // helping, the worker would block forever on work queued behind itself.
@@ -489,12 +535,6 @@ TEST(ShardedFanout, SearchTopkBitIdenticalAcrossLayouts) {
 
   const std::vector<core::ComponentOutcome> outcomes(
       service.num_components(), core::ComponentOutcome{true, 2});
-
-  common::ThreadPool pool(4);
-  service.set_pool(&pool);
-  for (std::size_t i = 0; i < wl.queries.size(); ++i)
-    expect_same_docs(service.exact_topk(wl.queries[i]), reference[i]);
-  service.set_pool(nullptr);
 
   for (std::size_t nodes : {1u, 2u, 4u}) {
     ShardedExecutor exec(common::simulated_topology(nodes));
