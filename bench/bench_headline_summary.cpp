@@ -153,54 +153,58 @@ FanoutLatency run_fanout() {
   auto fx = make_search_fixture_sharded(exec, 12.0, 200);
   const search::SearchService& service = *fx.service;
 
-  // Best-of-3 full sweeps over the query set; the checksum both defeats
+  // One full sweep over the query set; the checksum both defeats
   // dead-code elimination and cross-checks dispatch-mode parity.
-  const auto measure = [&](const auto& topk, double* check) {
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      double sum = 0.0;
-      common::Stopwatch w;
-      for (const auto& q : fx.queries) {
-        for (const auto& d : topk(q))
-          sum += d.score + static_cast<double>(d.doc);
-      }
-      best = std::min(best, w.elapsed_seconds());
-      *check = sum;
+  const auto sweep = [&](const auto& topk, double* check) {
+    double sum = 0.0;
+    common::Stopwatch w;
+    for (const auto& q : fx.queries) {
+      for (const auto& d : topk(q)) sum += d.score + static_cast<double>(d.doc);
     }
-    return best * 1e6 / static_cast<double>(fx.queries.size());
+    *check = sum;
+    return w.elapsed_seconds();
   };
   const auto service_topk = [&](const search::SearchRequest& q) {
     return service.exact_topk(q);
   };
-
-  double check_ref = -1.0;
-  out.sharded_us = measure(service_topk, &check_ref);
-  fx.service->set_executor(nullptr);
-  double check = 0.0;
-  out.sequential_us = measure(service_topk, &check);
-  if (check != check_ref) {
-    std::cerr << "FAIL: sharded fan-out results diverge from sequential\n";
-    std::exit(1);
-  }
   common::ThreadPool pool;
-  out.pool_us = measure(
-      [&](const search::SearchRequest& q) {
-        std::vector<std::vector<search::ScoredDoc>> locals(
-            service.num_components());
-        pool.parallel_for(locals.size(), [&](std::size_t c) {
-          locals[c] = service.component(c).exact_topk(q, service.k());
-        });
-        search::TopK top(service.k());
-        for (const auto& local : locals) {
-          for (const auto& d : local) top.offer(d);
-        }
-        return top.take();
-      },
-      &check);
-  if (check != check_ref) {
-    std::cerr << "FAIL: pooled fan-out results diverge from sequential\n";
-    std::exit(1);
+  const auto pool_topk = [&](const search::SearchRequest& q) {
+    std::vector<std::vector<search::ScoredDoc>> locals(
+        service.num_components());
+    pool.parallel_for(locals.size(), [&](std::size_t c) {
+      locals[c] = service.component(c).exact_topk(q, service.k());
+    });
+    search::TopK top(service.k());
+    for (const auto& local : locals) {
+      for (const auto& d : local) top.offer(d);
+    }
+    return top.take();
+  };
+
+  // Best of 3 sweeps per dispatch mode. Each repetition sweeps every mode
+  // back to back, so a burst of host load lands on all of them instead of
+  // deciding the parity ratio.
+  double sharded_s = 1e300, sequential_s = 1e300, pool_s = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    double check_ref = 0.0, check = 0.0;
+    fx.service->set_executor(&exec);
+    sharded_s = std::min(sharded_s, sweep(service_topk, &check_ref));
+    fx.service->set_executor(nullptr);
+    sequential_s = std::min(sequential_s, sweep(service_topk, &check));
+    if (check != check_ref) {
+      std::cerr << "FAIL: sharded fan-out results diverge from sequential\n";
+      std::exit(1);
+    }
+    pool_s = std::min(pool_s, sweep(pool_topk, &check));
+    if (check != check_ref) {
+      std::cerr << "FAIL: pooled fan-out results diverge from sequential\n";
+      std::exit(1);
+    }
   }
+  const double us_per_query = 1e6 / static_cast<double>(fx.queries.size());
+  out.sharded_us = sharded_s * us_per_query;
+  out.sequential_us = sequential_s * us_per_query;
+  out.pool_us = pool_s * us_per_query;
 
   common::TableWriter table("Exact query fan-out latency (us/query)");
   table.set_columns({"dispatch", "us/query", "notes"});

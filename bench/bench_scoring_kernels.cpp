@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <unordered_map>
+#include <utility>
 
 #include "bench/bench_common.h"
 #include "common/simd.h"
@@ -301,14 +302,11 @@ int main() {
 
   const int rounds = large_scale() ? 20 : 10;
   const std::size_t k = 10;
-  // Guarded SIMD tier: the highest tier the hardware supports whose
-  // kernels were actually compiled — if the toolchain lacked -mavx2 but
-  // has -msse4.2, the guard still gates the compiled sse42 kernels
-  // instead of silently comparing scalar against scalar.
+  // Guarded SIMD tier: AVX2 when the hardware supports it and the
+  // toolchain compiled its kernels, else scalar — and then the guard is
+  // skipped instead of silently comparing scalar against scalar.
   simd::Tier simd_tier = simd::max_supported_tier();
-  while (simd_tier > simd::Tier::kScalar && !simd::tier_compiled(simd_tier)) {
-    simd_tier = static_cast<simd::Tier>(static_cast<int>(simd_tier) - 1);
-  }
+  if (!simd::tier_compiled(simd_tier)) simd_tier = simd::Tier::kScalar;
 
   // Warm all paths once, and verify identical top-k output — in every
   // dispatch tier the hardware supports.
@@ -417,26 +415,28 @@ int main() {
   }
   const int lp_rounds = large_scale() ? 40 : 20;
   double fsink = 0.0;
-  // Kernel-stage times take the best of 3 repetitions per tier: the CI
-  // guard compares a single ratio, and min-of-N is the standard way to
-  // keep scheduler noise on shared runners out of a hard bound.
-  const auto best_kernel = [&](int reps) {
-    auto best = lp.time_kernel_rounds(lp_rounds * 2, fsink);
-    for (int r = 1; r < reps; ++r) {
-      const auto t = lp.time_kernel_rounds(lp_rounds * 2, fsink);
-      best.tfidf_s = std::min(best.tfidf_s, t.tfidf_s);
-      best.bm25_s = std::min(best.bm25_s, t.bm25_s);
-    }
-    return best;
-  };
   simd::set_tier(simd::Tier::kScalar);
   lp.time_topk_rounds(2, k, sink);  // warm
   const double lp_scalar_s = lp.time_topk_rounds(lp_rounds, k, sink);
-  const auto lpk_scalar = best_kernel(3);
   simd::set_tier(simd_tier);
   lp.time_topk_rounds(2, k, sink);
   const double lp_simd_s = lp.time_topk_rounds(lp_rounds, k, sink);
-  const auto lpk_simd = best_kernel(3);
+  // Kernel-stage times take the best of 3 repetitions per tier: the CI
+  // guard compares a single ratio, and min-of-N is the standard way to
+  // keep scheduler noise on shared runners out of a hard bound. Each
+  // repetition times both tiers back to back, so a burst of host load
+  // lands on both sides of the ratio instead of deciding it.
+  LongPostingsFixture::KernelTimes lpk_scalar{1e300, 1e300};
+  LongPostingsFixture::KernelTimes lpk_simd{1e300, 1e300};
+  for (int rep = 0; rep < 3; ++rep) {
+    for (auto [tier, best] : {std::pair{simd::Tier::kScalar, &lpk_scalar},
+                              std::pair{simd_tier, &lpk_simd}}) {
+      simd::set_tier(tier);
+      const auto t = lp.time_kernel_rounds(lp_rounds * 2, fsink);
+      best->tfidf_s = std::min(best->tfidf_s, t.tfidf_s);
+      best->bm25_s = std::min(best->bm25_s, t.bm25_s);
+    }
+  }
   const double lp_posts = static_cast<double>(lp_rounds) *
                           static_cast<double>(lp.postings_per_round);
   const double lpk_posts = 2.0 * lp_posts;

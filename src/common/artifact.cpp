@@ -1,9 +1,6 @@
 #include "common/artifact.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 
@@ -443,40 +440,6 @@ const char* codec_name(Codec c) {
   return "?";
 }
 
-bool parse_codec(const char* spec, Codec* out) {
-  if (spec == nullptr) return false;
-  std::string s(spec);
-  for (char& c : s)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (s == "raw") {
-    *out = Codec::kRaw;
-  } else if (s == "shuffle") {
-    *out = Codec::kShuffle;
-  } else if (s == "q8") {
-    *out = Codec::kQ8;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-Codec default_codec() {
-  static const Codec resolved = [] {
-    Codec c = Codec::kShuffle;
-    if (const char* spec = std::getenv("AT_ARTIFACT_CODEC")) {
-      if (!parse_codec(spec, &c)) {
-        std::fprintf(stderr,
-                     "warning: unrecognized AT_ARTIFACT_CODEC value \"%s\" "
-                     "(expected raw|shuffle|q8); using shuffle\n",
-                     spec);
-        c = Codec::kShuffle;
-      }
-    }
-    return c;
-  }();
-  return resolved;
-}
-
 void encode_f64(std::vector<std::uint8_t>& out, const double* v,
                 std::size_t n, Codec codec) {
   out.push_back(static_cast<std::uint8_t>(codec));
@@ -706,36 +669,6 @@ void ArtifactReader::finish() {
   read_exact(is_, &crc, sizeof crc, "end marker crc");
   if (len != 0 || crc != 0)
     throw ArtifactError("artifact: malformed end marker");
-}
-
-bool next_is_artifact(std::istream& is) {
-  char magic[4];
-  const auto pos = is.tellg();
-  if (pos != std::istream::pos_type(-1)) {
-    is.read(magic, 4);
-    const bool got4 = is.gcount() == 4;
-    is.clear();
-    is.seekg(pos);
-    if (!is)
-      throw ArtifactError("artifact: could not rewind stream");
-    return got4 && std::memcmp(magic, kContainerMagic, 4) == 0;
-  }
-  // Non-seekable stream (pipe, filtering buffer): peek by get + putback —
-  // buffered stream implementations accept putback of just-read chars.
-  is.clear();
-  int got = 0;
-  while (got < 4) {
-    const int c = is.get();
-    if (c == std::istream::traits_type::eof()) break;
-    magic[got++] = static_cast<char>(c);
-  }
-  is.clear();
-  for (int i = got - 1; i >= 0; --i) {
-    is.putback(magic[i]);
-    if (!is)
-      throw ArtifactError("artifact: could not unread magic bytes");
-  }
-  return got == 4 && std::memcmp(magic, kContainerMagic, 4) == 0;
 }
 
 }  // namespace at::common

@@ -57,8 +57,8 @@ class ArtifactError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// CRC32C (Castagnoli) of a buffer, via the dispatched kernel (SSE4.2
-/// hardware crc32 when available; identical results in every tier).
+/// CRC32C (Castagnoli) of a buffer, via the dispatched kernel (hardware
+/// crc32 in the AVX2 tier; identical results in every tier).
 std::uint32_t crc32c(const void* data, std::size_t n);
 
 // ---------------------------------------------------------------------------
@@ -71,15 +71,11 @@ inline constexpr Codec kAllCodecs[] = {Codec::kRaw, Codec::kShuffle,
 
 const char* codec_name(Codec c);
 
-/// Parses "raw" / "shuffle" / "q8" (case-insensitive). False on unknown.
-bool parse_codec(const char* spec, Codec* out);
-
-/// Process-wide default codec for f64 columns: the AT_ARTIFACT_CODEC
-/// environment variable when set and valid, else kShuffle (every codec
-/// decodes to the exact source doubles, so the default optimizes size;
-/// kRaw stays the byte-identity reference the parity tests verify
-/// against).
-Codec default_codec();
+/// Default codec for f64 columns. Every codec decodes to the exact source
+/// doubles, so the default optimizes size; kRaw stays the byte-identity
+/// reference the parity tests verify against. Each column records its own
+/// codec byte, so files written with any codec load the same way.
+constexpr Codec default_codec() { return Codec::kShuffle; }
 
 /// Appends the self-describing encoding (1 codec byte + payload) of n
 /// doubles to `out`.
@@ -298,11 +294,5 @@ class ArtifactReader {
   std::istream& is_;
   std::uint32_t version_ = 0;
 };
-
-/// True when the next four bytes of `is` are the artifact container magic
-/// (stream position restored) — the dispatch point between the container
-/// readers and the pre-container legacy formats. Requires a seekable
-/// stream, which every artifact source (files, string streams) is.
-bool next_is_artifact(std::istream& is);
 
 }  // namespace at::common

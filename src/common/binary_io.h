@@ -1,5 +1,6 @@
-// Minimal binary (de)serialization primitives used to persist offline
-// artifacts: synopses, index files, SVD models and R-trees. Fixed-width
+// Minimal binary (de)serialization primitives for the R-tree image, which
+// the synopsis structure stores inside a CRC-checked ATAC chunk
+// (common/artifact.h carries every other artifact). Fixed-width
 // little-endian integers and IEEE doubles; every reader call throws on
 // truncated input so corrupt files fail loudly instead of producing
 // silently wrong synopses.
@@ -24,11 +25,6 @@ class BinaryWriter {
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
   void f64(double v) { raw(&v, sizeof v); }
   void boolean(bool v) { u8(v ? 1 : 0); }
-
-  void str(const std::string& s) {
-    u64(s.size());
-    raw(s.data(), s.size());
-  }
 
   template <typename T>
   void vec_u32(const std::vector<T>& v) {
@@ -86,30 +82,10 @@ class BinaryReader {
   }
   bool boolean() { return u8() != 0; }
 
-  std::string str() {
-    const auto n = u64();
-    std::string s(n, '\0');
-    raw(s.data(), n);
-    return s;
-  }
-
-  std::vector<std::uint32_t> vec_u32() {
-    const auto n = u64();
-    std::vector<std::uint32_t> v(n);
-    for (auto& x : v) x = u32();
-    return v;
-  }
   std::vector<double> vec_f64() {
     const auto n = u64();
     std::vector<double> v(n);
     for (auto& x : v) x = f64();
-    return v;
-  }
-
-  std::vector<std::uint8_t> blob() {
-    const auto n = u64();
-    std::vector<std::uint8_t> v(n);
-    if (n > 0) raw(v.data(), n);
     return v;
   }
 

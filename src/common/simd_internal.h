@@ -57,16 +57,15 @@ void scalar_shuffle_u64(std::uint8_t* out, const std::uint64_t* in,
 void scalar_unshuffle_u64(std::uint64_t* out, const std::uint8_t* in,
                           std::size_t n);
 
-// Tier tables + compile markers (simd_sse42.cpp / simd_avx2.cpp). When the
-// TU could not be compiled for its ISA the table holds scalar fallbacks
-// and the marker is false.
-const Kernels& sse42_kernels();
-bool sse42_compiled();
+// AVX2 tier table + compile marker (simd_avx2.cpp). When the TU could not
+// be compiled for AVX2 the table holds scalar fallbacks and the marker is
+// false.
 const Kernels& avx2_kernels();
 bool avx2_compiled();
 
-// The SSE4.2 group-varint shuffle decode, reused verbatim by the AVX2
-// tier (128-bit pshufb is the sweet spot for 4-id groups).
+// SSE4.2 kernels (simd_sse42.cpp) that the AVX2 table uses verbatim;
+// there is no SSE4.2 tier. The group-varint shuffle decode: 128-bit
+// pshufb is the sweet spot for 4-id groups.
 const std::uint8_t* sse42_decode_group_deltas(const std::uint8_t* p,
                                               std::uint32_t* ids,
                                               std::uint32_t* prev,
@@ -76,9 +75,8 @@ const std::uint8_t* sse42_decode_u8_deltas(const std::uint8_t* p,
                                            std::uint32_t* prev,
                                            std::size_t n);
 
-// The SSE4.2 artifact-store kernels (hardware crc32 + the 8x8 byte
-// transpose), reused verbatim by the AVX2 tier — both are 128-bit
-// sweet-spot operations.
+// The artifact-store kernels (hardware crc32 + the 8x8 byte transpose),
+// also 128-bit sweet-spot operations.
 std::uint32_t sse42_crc32c_update(std::uint32_t crc, const std::uint8_t* p,
                                   std::size_t n);
 void sse42_shuffle_u64(std::uint8_t* out, const std::uint64_t* in,

@@ -1,26 +1,25 @@
-// SSE4.2 kernel tier. Compiled with -msse4.2 (CMake sets the flag on this
-// file only); when the compiler cannot target SSE4.2 the table falls back
-// to the scalar kernels so the build stays portable.
+// SSE4.2 kernels shared by the AVX2 tier: the group-varint and u8 delta
+// decoders, hardware crc32 and the 8x8 byte transpose — 128-bit
+// sweet-spot operations that do not widen usefully to 256 bits. There is
+// no SSE4.2 dispatch tier of its own. Compiled with -msse4.2 (CMake sets
+// the flag on this file only); when the compiler cannot target SSE4.2
+// every entry point forwards to its scalar reference kernel, so the build
+// stays portable.
 //
-// 128-bit doubles cover the element-wise kernels; the dot reduction keeps
-// two 2-lane accumulators so its rounding matches the canonical 4-lane
-// order (see simd.h). The group-varint decoder is the classic pshufb
-// shuffle-table expansion: one 256-entry table maps each control byte to a
-// 16-byte shuffle that scatters the 4..16 data bytes into four zero-padded
-// u32 lanes, then an in-register prefix sum turns deltas into doc ids.
+// The group-varint decoder is the classic pshufb shuffle-table expansion:
+// one 256-entry table maps each control byte to a 16-byte shuffle that
+// scatters the 4..16 data bytes into four zero-padded u32 lanes, then an
+// in-register prefix sum turns deltas into doc ids.
 #include "common/simd_internal.h"
 
 #if AT_SIMD_X86 && defined(__SSE4_2__)
 
 #include <nmmintrin.h>
 
-#include <cmath>
 #include <cstring>
 
 namespace at::simd::detail {
 namespace {
-
-constexpr bool kHaveSse42 = true;
 
 struct GroupTables {
   alignas(16) std::uint8_t shuf[256][16];
@@ -46,114 +45,6 @@ constexpr GroupTables make_group_tables() {
 }
 
 constexpr GroupTables kGroupTables = make_group_tables();
-
-double dot(const double* a, const double* b, std::size_t n) {
-  const std::size_t n4 = n & ~std::size_t{3};
-  __m128d acc01 = _mm_setzero_pd();  // lanes {s0, s1}
-  __m128d acc23 = _mm_setzero_pd();  // lanes {s2, s3}
-  for (std::size_t i = 0; i < n4; i += 4) {
-    acc01 = _mm_add_pd(acc01,
-                       _mm_mul_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i)));
-    acc23 = _mm_add_pd(
-        acc23, _mm_mul_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2)));
-  }
-  // {s0+s2, s1+s3} then low+high == (s0+s2)+(s1+s3): the canonical order.
-  const __m128d folded = _mm_add_pd(acc01, acc23);
-  double acc = _mm_cvtsd_f64(folded) +
-               _mm_cvtsd_f64(_mm_unpackhi_pd(folded, folded));
-  for (std::size_t i = n4; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-double distance_sq(const double* a, const double* b, std::size_t n) {
-  const std::size_t n4 = n & ~std::size_t{3};
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m128d d01 = _mm_sub_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i));
-    const __m128d d23 =
-        _mm_sub_pd(_mm_loadu_pd(a + i + 2), _mm_loadu_pd(b + i + 2));
-    acc01 = _mm_add_pd(acc01, _mm_mul_pd(d01, d01));
-    acc23 = _mm_add_pd(acc23, _mm_mul_pd(d23, d23));
-  }
-  const __m128d folded = _mm_add_pd(acc01, acc23);
-  double acc = _mm_cvtsd_f64(folded) +
-               _mm_cvtsd_f64(_mm_unpackhi_pd(folded, folded));
-  for (std::size_t i = n4; i < n; ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return acc;
-}
-
-void score_tfidf(double* out, const double* sqrt_tf,
-                 const std::uint32_t* docs, const double* len_norm, double w,
-                 std::size_t n) {
-  const std::size_t n2 = n & ~std::size_t{1};
-  const __m128d vw = _mm_set1_pd(w);
-  for (std::size_t i = 0; i < n2; i += 2) {
-    // No hardware gather below AVX2: scalar-load the two norms.
-    const __m128d ln =
-        _mm_set_pd(len_norm[docs[i + 1]], len_norm[docs[i]]);
-    const __m128d s = _mm_mul_pd(_mm_loadu_pd(sqrt_tf + i), vw);
-    _mm_storeu_pd(out + i, _mm_mul_pd(s, ln));
-  }
-  for (std::size_t i = n2; i < n; ++i) {
-    out[i] = (sqrt_tf[i] * w) * len_norm[docs[i]];
-  }
-}
-
-void score_bm25(double* out, const double* tf, const std::uint32_t* docs,
-                const double* bm25_norm, double w, double k1p1,
-                std::size_t n) {
-  const std::size_t n2 = n & ~std::size_t{1};
-  const __m128d vw = _mm_set1_pd(w);
-  const __m128d vk = _mm_set1_pd(k1p1);
-  for (std::size_t i = 0; i < n2; i += 2) {
-    const __m128d vtf = _mm_loadu_pd(tf + i);
-    const __m128d norm =
-        _mm_set_pd(bm25_norm[docs[i + 1]], bm25_norm[docs[i]]);
-    const __m128d num = _mm_mul_pd(vw, _mm_mul_pd(vtf, vk));
-    _mm_storeu_pd(out + i, _mm_div_pd(num, _mm_add_pd(vtf, norm)));
-  }
-  for (std::size_t i = n2; i < n; ++i) {
-    out[i] = (w * (tf[i] * k1p1)) / (tf[i] + bm25_norm[docs[i]]);
-  }
-}
-
-void inv_sqrt_or_zero(double* out, const double* in, std::size_t n) {
-  const std::size_t n2 = n & ~std::size_t{1};
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d zero = _mm_setzero_pd();
-  for (std::size_t i = 0; i < n2; i += 2) {
-    const __m128d v = _mm_loadu_pd(in + i);
-    const __m128d r = _mm_div_pd(one, _mm_sqrt_pd(v));
-    // cmpgt is an ordered compare: NaN inputs take the zero branch, like
-    // the scalar `v > 0.0 ? ... : 0.0`.
-    _mm_storeu_pd(out + i, _mm_blendv_pd(zero, r, _mm_cmpgt_pd(v, zero)));
-  }
-  for (std::size_t i = n2; i < n; ++i) {
-    out[i] = in[i] > 0.0 ? 1.0 / std::sqrt(in[i]) : 0.0;
-  }
-}
-
-void bm25_doc_norms(double* out, const double* dl, double k1, double b,
-                    double avg, std::size_t n) {
-  const std::size_t n2 = n & ~std::size_t{1};
-  const __m128d vk1 = _mm_set1_pd(k1);
-  const __m128d vb = _mm_set1_pd(b);
-  const __m128d vavg = _mm_set1_pd(avg);
-  const __m128d one_minus_b = _mm_set1_pd(1.0 - b);
-  for (std::size_t i = 0; i < n2; i += 2) {
-    const __m128d v = _mm_loadu_pd(dl + i);
-    const __m128d t =
-        _mm_add_pd(one_minus_b, _mm_div_pd(_mm_mul_pd(vb, v), vavg));
-    _mm_storeu_pd(out + i, _mm_mul_pd(vk1, t));
-  }
-  for (std::size_t i = n2; i < n; ++i) {
-    out[i] = k1 * (1.0 - b + b * dl[i] / avg);
-  }
-}
 
 }  // namespace
 
@@ -314,61 +205,12 @@ void sse42_unshuffle_u64(std::uint64_t* out, const std::uint8_t* in,
   }
 }
 
-namespace {
-
-const Kernels kSse42Kernels = {
-    &dot,
-    &distance_sq,
-    &scalar_retire_axpy,  // gathers need AVX2; the loop itself is scalar
-    &score_tfidf,
-    &score_bm25,
-    &inv_sqrt_or_zero,
-    &bm25_doc_norms,
-    &scalar_score_tfidf_codes,  // fused paths lean on gathers too
-    &scalar_score_bm25_codes,
-    &scalar_expand_lut_u8,
-    &scalar_u8_to_f64,
-    &sse42_decode_group_deltas,
-    &sse42_decode_u8_deltas,
-    &sse42_crc32c_update,
-    &sse42_shuffle_u64,
-    &sse42_unshuffle_u64,
-};
-
-}  // namespace
-
-const Kernels& sse42_kernels() { return kSse42Kernels; }
-bool sse42_compiled() { return kHaveSse42; }
-
 }  // namespace at::simd::detail
 
 #else  // !(AT_SIMD_X86 && __SSE4_2__)
 
 namespace at::simd::detail {
 
-namespace {
-const Kernels kSse42Fallback = {
-    &scalar_dot,
-    &scalar_distance_sq,
-    &scalar_retire_axpy,
-    &scalar_score_tfidf,
-    &scalar_score_bm25,
-    &scalar_inv_sqrt_or_zero,
-    &scalar_bm25_doc_norms,
-    &scalar_score_tfidf_codes,
-    &scalar_score_bm25_codes,
-    &scalar_expand_lut_u8,
-    &scalar_u8_to_f64,
-    &scalar_decode_group_deltas,
-    &scalar_decode_u8_deltas,
-    &scalar_crc32c_update,
-    &scalar_shuffle_u64,
-    &scalar_unshuffle_u64,
-};
-}  // namespace
-
-const Kernels& sse42_kernels() { return kSse42Fallback; }
-bool sse42_compiled() { return false; }
 const std::uint8_t* sse42_decode_group_deltas(const std::uint8_t* p,
                                               std::uint32_t* ids,
                                               std::uint32_t* prev,

@@ -194,7 +194,8 @@ class RecommenderComponent {
             common::Codec codec = common::default_codec()) const {
     snapshot()->save(os, codec);
   }
-  /// Also accepts the legacy "ATRC" v1 snapshot.
+  /// Loads an ATAC "RCMP" snapshot; any failure throws
+  /// common::ArtifactError.
   static RecommenderComponent load(std::istream& is);
 
  private:

@@ -1,8 +1,8 @@
 // Unified artifact store: container framing, the three exact f64 codecs
 // (raw / shuffle / q8) across every SIMD dispatch tier, fuzz-style corrupt
 // and truncated inputs (must throw cleanly — the suite runs under the
-// ASan/UBSan CI jobs), and golden-file fixtures proving the legacy
-// (pre-container) formats still load.
+// ASan/UBSan CI jobs), golden files pinning the writers' bytes, and the
+// retired pre-container formats, which must fail with ArtifactError.
 #include "common/artifact.h"
 
 #include <gtest/gtest.h>
@@ -10,15 +10,19 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
+#include <streambuf>
 
 #include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "rtree/rtree.h"
 #include "services/recommender/component.h"
 #include "services/search/component.h"
+#include "services/search/postings_codec.h"
 #include "synopsis/serialize.h"
 #include "golden_fixtures.h"
 
@@ -27,8 +31,6 @@ namespace {
 
 std::vector<simd::Tier> supported_tiers() {
   std::vector<simd::Tier> tiers = {simd::Tier::kScalar};
-  if (simd::max_supported_tier() >= simd::Tier::kSse42)
-    tiers.push_back(simd::Tier::kSse42);
   if (simd::max_supported_tier() >= simd::Tier::kAvx2)
     tiers.push_back(simd::Tier::kAvx2);
   return tiers;
@@ -318,28 +320,18 @@ TEST(ArtifactFuzz, ForgedRowEntryCountRejected) {
 
 TEST(ArtifactFuzz, OverflowingMatrixDimensionsRejected) {
   // rows * cols wrapping to 0 must not pass the element-count check and
-  // index out of bounds of the (empty) storage — in either format era.
-  {
-    std::stringstream buf;
-    ArtifactWriter w(buf, "MATX", 1);
-    ChunkWriter meta;
-    meta.u64(std::uint64_t{1} << 32);
-    meta.u64(std::uint64_t{1} << 32);
-    w.chunk("META", meta);
-    ChunkWriter data;
-    data.vec_f64({}, Codec::kRaw);
-    w.chunk("DATA", data);
-    w.finish();
-    EXPECT_THROW(linalg::load_matrix(buf), std::runtime_error);
-  }
-  {
-    std::stringstream buf;
-    BinaryWriter w(buf);
-    w.magic("ATMX", 1);
-    w.u64(std::uint64_t{1} << 32);
-    w.u64(std::uint64_t{1} << 32);
-    EXPECT_THROW(linalg::load_matrix(buf), std::runtime_error);
-  }
+  // index out of bounds of the (empty) storage.
+  std::stringstream buf;
+  ArtifactWriter w(buf, "MATX", 1);
+  ChunkWriter meta;
+  meta.u64(std::uint64_t{1} << 32);
+  meta.u64(std::uint64_t{1} << 32);
+  w.chunk("META", meta);
+  ChunkWriter data;
+  data.vec_f64({}, Codec::kRaw);
+  w.chunk("DATA", data);
+  w.finish();
+  EXPECT_THROW(linalg::load_matrix(buf), std::runtime_error);
 }
 
 TEST(ArtifactFuzz, ForgedF64CountsRejectedBeforeAllocating) {
@@ -364,8 +356,7 @@ TEST(ArtifactFuzz, ForgedF64CountsRejectedBeforeAllocating) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden legacy fixtures (generated by the pre-container writers; see
-// tests/golden_fixtures.h for the recipes and generation notes).
+// Golden-file helpers (recipes: tests/golden_fixtures.h)
 // ---------------------------------------------------------------------------
 
 std::ifstream open_golden(const std::string& name) {
@@ -402,118 +393,6 @@ void expect_matrix_bits_equal(const linalg::Matrix& got,
           << r << "," << c << ": " << a << " vs " << b;
     }
   }
-}
-
-TEST(GoldenLegacy, SparseRowsV1) {
-  auto is = open_golden("sparse_rows_v1.bin");
-  expect_rows_equal(synopsis::load_sparse_rows(is), testing::golden_rows());
-}
-
-TEST(GoldenLegacy, SparseRowsV2) {
-  // The v2 fixture stores two wide rows (gaps > 255, hence varint blocks —
-  // the v2-era shape); literals mirror the generator.
-  auto is = open_golden("sparse_rows_v2.bin");
-  const auto rows = synopsis::load_sparse_rows(is);
-  ASSERT_EQ(rows.rows(), 2u);
-  EXPECT_EQ(rows.cols(), 2048u);
-  const synopsis::SparseVector want0{{300, 2.5}, {1200, 3.0}, {1999, 300.25}};
-  const synopsis::SparseVector want1{{0, 1.0}, {600, 42.0}};
-  EXPECT_EQ(rows.row(0), want0);
-  EXPECT_EQ(rows.row(1), want1);
-}
-
-TEST(GoldenLegacy, SparseRowsV3) {
-  auto is = open_golden("sparse_rows_v3.bin");
-  expect_rows_equal(synopsis::load_sparse_rows(is), testing::golden_rows());
-}
-
-TEST(GoldenLegacy, MatrixV1) {
-  auto is = open_golden("matrix_v1.bin");
-  expect_matrix_bits_equal(linalg::load_matrix(is), testing::golden_matrix());
-}
-
-TEST(GoldenLegacy, SvdModelV1) {
-  auto is = open_golden("svd_model_v1.bin");
-  const auto got = linalg::load_svd_model(is);
-  const auto want = testing::golden_svd_model();
-  EXPECT_EQ(got.train_rmse, want.train_rmse);
-  EXPECT_EQ(got.global_mean, want.global_mean);
-  EXPECT_EQ(got.row_bias, want.row_bias);
-  EXPECT_EQ(got.col_bias, want.col_bias);
-  expect_matrix_bits_equal(got.row_factors, want.row_factors);
-  expect_matrix_bits_equal(got.col_factors, want.col_factors);
-}
-
-TEST(GoldenLegacy, IndexFileV1) {
-  auto is = open_golden("index_file_v1.bin");
-  const auto got = synopsis::load_index_file(is);
-  const auto want = testing::golden_index_file();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t g = 0; g < want.size(); ++g) {
-    EXPECT_EQ(got.groups()[g].node_id, want.groups()[g].node_id);
-    EXPECT_EQ(got.groups()[g].version, want.groups()[g].version);
-    EXPECT_EQ(got.groups()[g].members, want.groups()[g].members);
-  }
-}
-
-TEST(GoldenLegacy, SynopsisV1) {
-  auto is = open_golden("synopsis_v1.bin");
-  const auto got = synopsis::load_synopsis(is);
-  const auto want = testing::golden_synopsis();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t g = 0; g < want.size(); ++g) {
-    EXPECT_EQ(got.points[g].node_id, want.points[g].node_id);
-    EXPECT_EQ(got.points[g].member_count, want.points[g].member_count);
-    EXPECT_EQ(got.points[g].features, want.points[g].features);
-    EXPECT_EQ(got.points[g].support, want.points[g].support);
-  }
-}
-
-TEST(GoldenLegacy, StructureV1MatchesDeterministicRebuild) {
-  auto is = open_golden("structure_v1.bin");
-  auto got = synopsis::load_structure(is);
-  const auto want = testing::golden_structure();
-  EXPECT_EQ(got.level, want.level);
-  expect_matrix_bits_equal(got.reduced, want.reduced);
-  expect_matrix_bits_equal(got.svd.row_factors, want.svd.row_factors);
-  expect_matrix_bits_equal(got.svd.col_factors, want.svd.col_factors);
-  ASSERT_EQ(got.index.size(), want.index.size());
-  for (std::size_t g = 0; g < want.index.size(); ++g) {
-    EXPECT_EQ(got.index.groups()[g].members, want.index.groups()[g].members);
-    EXPECT_EQ(got.index.groups()[g].version, want.index.groups()[g].version);
-  }
-  got.tree.check_invariants();
-  EXPECT_NO_THROW(got.index.validate_partition(testing::golden_rows().rows()));
-}
-
-TEST(GoldenLegacy, SearchComponentV1ScoresMatchFreshBuild) {
-  auto is = open_golden("search_component_v1.bin");
-  const auto loaded = search::SearchComponent::load(is);
-  search::SearchComponent fresh(testing::golden_rows(), 1000,
-                                testing::golden_build_config(),
-                                search::ScorerParams{}, nullptr);
-  const search::SearchRequest request{{1, 5, 12}};
-  const auto got = loaded.exact_topk(request, 5);
-  const auto want = fresh.exact_topk(request, 5);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].doc, want[i].doc);
-    EXPECT_EQ(got[i].score, want[i].score);
-  }
-}
-
-TEST(GoldenLegacy, RecommenderComponentV1AnalyzesLikeFreshBuild) {
-  auto is = open_golden("recommender_component_v1.bin");
-  const auto loaded = reco::RecommenderComponent::load(is);
-  reco::RecommenderComponent fresh(testing::golden_rows(),
-                                   testing::golden_build_config(), nullptr);
-  const auto request =
-      reco::CfRequest::make({{2, 4.0}, {9, 2.0}, {16, 5.0}}, 5);
-  const auto got = loaded.analyze(request).exact();
-  const auto want = fresh.analyze(request).exact();
-  EXPECT_EQ(got.weighted_dev, want.weighted_dev);
-  EXPECT_EQ(got.weight_abs, want.weight_abs);
-  EXPECT_EQ(got.neighbors, want.neighbors);
 }
 
 // ---------------------------------------------------------------------------
@@ -767,27 +646,53 @@ TEST(CurrentGolden, StructureBytesStableAndLoads) {
   got.tree.check_invariants();
 }
 
+/// Pipe-like stream buffer: hands out one byte at a time and supports
+/// neither seeking (the std::streambuf defaults fail) nor putting back more
+/// than the last byte — a loader that needs either fails on it.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ == bytes_.size()) return traits_type::eof();
+    ch_ = bytes_[pos_++];
+    setg(&ch_, &ch_, &ch_ + 1);
+    return traits_type::to_int_type(ch_);
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t pos_ = 0;
+  char ch_ = 0;
+};
+
 TEST(CurrentGolden, SearchComponentBytesStableAndLoads) {
   const auto build = [] {
     return search::SearchComponent(testing::golden_rows(), 1000,
                                    testing::golden_build_config(),
                                    search::ScorerParams{}, nullptr);
   };
-  check_current_golden("atac_search_component_v1.bin",
-                       [&](std::ostream& os) {
-                         build().save(os, Codec::kShuffle);
-                       });
-  auto is = open_golden("atac_search_component_v1.bin");
-  const auto loaded = search::SearchComponent::load(is);
+  const std::string bytes = check_current_golden(
+      "atac_search_component_v1.bin",
+      [&](std::ostream& os) { build().save(os, Codec::kShuffle); });
   const auto fresh = build();
   const search::SearchRequest request{{1, 5, 12}};
-  const auto got = loaded.exact_topk(request, 5);
   const auto want = fresh.exact_topk(request, 5);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].doc, want[i].doc);
-    EXPECT_EQ(got[i].score, want[i].score);
-  }
+  const auto expect_scores = [&](const search::SearchComponent& loaded) {
+    const auto got = loaded.exact_topk(request, 5);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].doc, want[i].doc);
+      EXPECT_EQ(got[i].score, want[i].score);
+    }
+  };
+  auto is = open_golden("atac_search_component_v1.bin");
+  expect_scores(search::SearchComponent::load(is));
+  // No loader seeks or peeks: the same bytes load from a pipe-like stream.
+  PipeBuf pipe(bytes);
+  std::istream piped(&pipe);
+  expect_scores(search::SearchComponent::load(piped));
 }
 
 TEST(CurrentGolden, RecommenderComponentBytesStableAndLoads) {
@@ -810,6 +715,172 @@ TEST(CurrentGolden, RecommenderComponentBytesStableAndLoads) {
   EXPECT_EQ(got.weighted_dev, want.weighted_dev);
   EXPECT_EQ(got.weight_abs, want.weight_abs);
   EXPECT_EQ(got.neighbors, want.neighbors);
+}
+
+// ---------------------------------------------------------------------------
+// Retired pre-container formats: only ATAC v1 loads. A stream in any
+// generation before the container (well-formed for that generation) fails
+// with the artifact layer's structured error, and must be rebuilt.
+// ---------------------------------------------------------------------------
+
+/// Re-frames a component snapshot in its pre-container layout: the retired
+/// magic and version 1, the CONF payload (the old header held the same
+/// fields in the same order), then the nested artifacts.
+std::string retire_component(const std::string& atac, const char magic[4]) {
+  constexpr std::size_t kFrame = 16;  // container header / chunk head / end
+  std::uint64_t conf_len;
+  std::memcpy(&conf_len, atac.data() + kFrame + 4, sizeof conf_len);
+  const std::size_t nested = 2 * kFrame + static_cast<std::size_t>(conf_len);
+  std::ostringstream os(std::ios::binary);
+  BinaryWriter(os).magic(magic, 1);
+  os << atac.substr(2 * kFrame, conf_len)
+     << atac.substr(nested, atac.size() - nested - kFrame);
+  return os.str();
+}
+
+TEST(RetiredFormats, PreContainerStreamsThrowArtifactError) {
+  struct Case {
+    std::string name;
+    std::string bytes;
+    std::function<void(std::istream&)> load;
+  };
+  std::vector<Case> cases;
+  const auto load_rows = [](std::istream& is) {
+    synopsis::load_sparse_rows(is);
+  };
+
+  {  // ATSR v1: raw (u32 col, f64 val) row pairs.
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    w.magic("ATSR", 1);
+    w.u64(8);  // cols
+    w.u64(1);  // rows
+    w.u64(2);
+    w.u32(1);
+    w.f64(2.5);
+    w.u32(6);
+    w.f64(3.0);
+    cases.push_back({"ATSR v1", os.str(), load_rows});
+  }
+  // ATSR v2 (varint blocks) and v3 (may carry the u8-delta tag): one
+  // postings-codec blob per row.
+  for (const auto& [version, ids] :
+       {std::pair<std::uint32_t, std::vector<std::uint32_t>>{2, {300, 1200}},
+        {3, {1, 5}}}) {
+    const std::vector<double> vals = {2.5, 3.0};
+    std::vector<std::uint8_t> blob;
+    search::codec::encode_list(blob, ids.data(), vals.data(), ids.size());
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    w.magic("ATSR", version);
+    w.u64(2048);
+    w.u64(1);
+    w.u64(ids.size());
+    w.blob(blob);
+    cases.push_back({"ATSR v" + std::to_string(version), os.str(), load_rows});
+  }
+  {  // ATMX v1: raw row-major doubles.
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    w.magic("ATMX", 1);
+    w.u64(1);
+    w.u64(2);
+    w.f64(1.5);
+    w.f64(-2.0);
+    cases.push_back({"ATMX v1", os.str(),
+                     [](std::istream& is) { linalg::load_matrix(is); }});
+  }
+  {  // ATSV v1: scalars and raw bias vectors, then the two factor matrices.
+    const linalg::SvdModel m = testing::golden_svd_model();
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    w.magic("ATSV", 1);
+    w.f64(m.train_rmse);
+    w.f64(m.global_mean);
+    w.vec_f64(m.row_bias);
+    w.vec_f64(m.col_bias);
+    linalg::save(os, m.row_factors, Codec::kRaw);
+    linalg::save(os, m.col_factors, Codec::kRaw);
+    cases.push_back({"ATSV v1", os.str(),
+                     [](std::istream& is) { linalg::load_svd_model(is); }});
+  }
+  {  // ATIX v1: group count, then (node id, version, members) per group.
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    w.magic("ATIX", 1);
+    w.u64(1);
+    w.u64(7);
+    w.u64(1);
+    w.vec_u32(std::vector<std::uint32_t>{0, 1, 2});
+    cases.push_back({"ATIX v1", os.str(), [](std::istream& is) {
+                       synopsis::load_index_file(is);
+                     }});
+  }
+  {  // ATSY v1: points with raw (u32, f64) feature pairs.
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    w.magic("ATSY", 1);
+    w.u64(1);
+    w.u64(11);  // node id
+    w.u32(3);   // member count
+    w.u64(1);
+    w.u32(4);
+    w.f64(300.0);
+    w.vec_u32(std::vector<std::uint32_t>{1, 3, 2});
+    cases.push_back({"ATSY v1", os.str(), [](std::istream& is) {
+                       synopsis::load_synopsis(is);
+                     }});
+  }
+  {  // ATSS v1: level, SVD model, reduced matrix, bare R-tree, index file.
+    const synopsis::SynopsisStructure s = testing::golden_structure();
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter w(os);
+    w.magic("ATSS", 1);
+    w.u64(s.level);
+    linalg::save(os, s.svd, Codec::kRaw);
+    linalg::save(os, s.reduced, Codec::kRaw);
+    s.tree.save(os);
+    synopsis::save(os, s.index);
+    cases.push_back({"ATSS v1", os.str(), [](std::istream& is) {
+                       synopsis::load_structure(is);
+                     }});
+  }
+  {
+    std::ostringstream os(std::ios::binary);
+    search::SearchComponent(testing::golden_rows(), 1000,
+                            testing::golden_build_config(),
+                            search::ScorerParams{}, nullptr)
+        .save(os, Codec::kRaw);
+    cases.push_back({"ATSC v1", retire_component(os.str(), "ATSC"),
+                     [](std::istream& is) {
+                       search::SearchComponent::load(is);
+                     }});
+  }
+  {
+    std::ostringstream os(std::ios::binary);
+    reco::RecommenderComponent(testing::golden_rows(),
+                               testing::golden_build_config(), nullptr)
+        .save(os, Codec::kRaw);
+    cases.push_back({"ATRC v1", retire_component(os.str(), "ATRC"),
+                     [](std::istream& is) {
+                       reco::RecommenderComponent::load(is);
+                     }});
+  }
+
+  ASSERT_EQ(cases.size(), 10u);
+  for (const Case& c : cases) {
+    std::istringstream is(c.bytes, std::ios::binary);
+    try {
+      c.load(is);
+      ADD_FAILURE() << c.name << " loaded";
+    } catch (const ArtifactError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad container magic"),
+                std::string::npos)
+          << c.name << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << c.name << ": non-artifact error: " << e.what();
+    }
+  }
 }
 
 // New-format snapshots round-trip through every codec with bit-identical
