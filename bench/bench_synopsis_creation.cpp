@@ -4,8 +4,12 @@
 // original pages per aggregated data point). The SVD step runs in both
 // the scalar and the best SIMD dispatch tier (bit-identical factors; the
 // residual-retire gather is the vectorized part, the SGD chain itself is
-// latency-bound). Machine-readable output goes to
+// latency-bound). Each SVD row is the best of 3 repetitions, and every
+// repetition times the seed, scalar-tier and SIMD-tier SVD back to back,
+// so a burst of host load lands on all three rows instead of deciding
+// their ratios. Machine-readable output goes to
 // BENCH_synopsis_creation.json (override: AT_SYNOPSIS_JSON).
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -14,7 +18,6 @@
 #include "bench/bench_common.h"
 #include "bench/seed_reference.h"
 #include "common/artifact.h"
-#include "common/sharded_executor.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -30,14 +33,6 @@ struct StepTimes {
   double svd_seed_s = 0.0;     // seed scalar kernel (pre-optimization)
   double svd_scalar_s = 0.0;   // CSR + cached residual, scalar dispatch tier
   double svd_s = 0.0;          // CSR + cached residual, best SIMD tier
-  double svd_hogwild_s = 0.0;  // CSR + cached-residual, hogwild on 4 threads
-  /// ROADMAP multi-core scaling curve: hogwild SVD wall clock per pool
-  /// size, 1..nproc (extend past nproc with AT_BENCH_THREADS to measure
-  /// oversubscription).
-  std::vector<std::pair<std::size_t, double>> hogwild_sweep;
-  /// Node-partitioned SVD on the AT_TOPOLOGY-resolved ShardedExecutor.
-  double svd_sharded_s = 0.0;
-  std::string topology;
   double rtree_s = 0.0;
   double aggregate_s = 0.0;
   std::size_t points = 0;
@@ -75,58 +70,25 @@ StepTimes time_creation(const synopsis::SparseRows& rows,
 
   const auto dataset = rows.to_dataset();
   common::Stopwatch w;
-  {
-    auto seed_svd = seed_incremental_svd(dataset, cfg.svd);
-    t.svd_seed_s = w.elapsed_seconds();
-    (void)seed_svd;
-  }
-  {
-    auto hw_cfg = cfg.svd;
-    hw_cfg.deterministic = false;
-    common::ThreadPool hw_pool(4);
+  const auto timed = [&w](double& best, auto&& train) {
     w.reset();
-    auto hw_svd = linalg::incremental_svd(dataset, hw_cfg, &hw_pool);
-    t.svd_hogwild_s = w.elapsed_seconds();
-    (void)hw_svd;
-  }
-  {
-    // Thread-count sweep 1..nproc (ROADMAP "multi-core wall-clock
-    // measurement"): the hogwild scaling curve, best of 2 per point.
-    auto hw_cfg = cfg.svd;
-    hw_cfg.deterministic = false;
-    for (std::size_t threads = 1; threads <= sweep_max_threads();
-         ++threads) {
-      common::ThreadPool pool(threads);
-      double best = 1e300;
-      for (int rep = 0; rep < 2; ++rep) {
-        w.reset();
-        auto svd = linalg::incremental_svd(dataset, hw_cfg, &pool);
-        best = std::min(best, w.elapsed_seconds());
-        (void)svd;
-      }
-      t.hogwild_sweep.emplace_back(threads, best);
-    }
-    // Node-partitioned run on the machine layout (one group on
-    // single-node hardware — the fallback whose parity CI guards).
-    common::ShardedExecutor exec;
-    t.topology = exec.topology().describe();
-    w.reset();
-    auto sharded = linalg::incremental_svd_sharded(dataset, hw_cfg, exec);
-    t.svd_sharded_s = w.elapsed_seconds();
-    (void)sharded;
-  }
-  {
-    const simd::Tier entry_tier = simd::active_tier();  // honor AT_SIMD
+    auto model = train();
+    best = std::min(best, w.elapsed_seconds());
+    return model;
+  };
+  const simd::Tier entry_tier = simd::active_tier();  // honor AT_SIMD
+  t.svd_seed_s = t.svd_scalar_s = t.svd_s = 1e300;
+  linalg::SvdModel svd;
+  for (int rep = 0; rep < 3; ++rep) {
+    (void)timed(t.svd_seed_s,
+                [&] { return seed_incremental_svd(dataset, cfg.svd); });
     simd::set_tier(simd::Tier::kScalar);
-    w.reset();
-    auto scalar_svd = linalg::incremental_svd(dataset, cfg.svd);
-    t.svd_scalar_s = w.elapsed_seconds();
+    (void)timed(t.svd_scalar_s,
+                [&] { return linalg::incremental_svd(dataset, cfg.svd); });
     simd::set_tier(entry_tier);
-    (void)scalar_svd;
+    svd = timed(t.svd_s,
+                [&] { return linalg::incremental_svd(dataset, cfg.svd); });
   }
-  w.reset();
-  auto svd = linalg::incremental_svd(dataset, cfg.svd);
-  t.svd_s = w.elapsed_seconds();
 
   w.reset();
   std::vector<std::pair<std::uint64_t, rtree::Rect>> items;
@@ -182,20 +144,6 @@ void report(const char* service, const StepTimes& t) {
                      "x vs seed, " +
                      common::TableWriter::fmt(t.svd_scalar_s / t.svd_s, 2) +
                      "x vs scalar tier"});
-  table.add_row({"1. SVD reduction (hogwild, 4 thr)",
-                 common::TableWriter::fmt(t.svd_hogwild_s, 3),
-                 common::TableWriter::fmt(t.svd_seed_s / t.svd_hogwild_s, 2) +
-                     "x vs seed"});
-  for (const auto& [threads, seconds] : t.hogwild_sweep) {
-    table.add_row(
-        {"1. SVD hogwild sweep (" + std::to_string(threads) + " thr)",
-         common::TableWriter::fmt(seconds, 3),
-         common::TableWriter::fmt(t.hogwild_sweep.front().second / seconds,
-                                  2) +
-             "x vs 1 thr"});
-  }
-  table.add_row({"1. SVD sharded executor",
-                 common::TableWriter::fmt(t.svd_sharded_s, 3), t.topology});
   table.add_row({"2. R-tree + index file",
                  common::TableWriter::fmt(t.rtree_s, 3),
                  "bulk load + level select"});
@@ -254,12 +202,6 @@ void write_json(const StepTimes& cf, const StepTimes& ws) {
        << "    \"svd_simd_tier_s\": " << t.svd_s << ",\n"
        << "    \"svd_simd_speedup_vs_scalar_tier\": "
        << t.svd_scalar_s / t.svd_s << ",\n"
-       << "    \"svd_hogwild_s\": " << t.svd_hogwild_s << ",\n"
-       << "    \"svd_hogwild_sweep\": ";
-    write_sweep_json(os, t.hogwild_sweep);
-    os << ",\n"
-       << "    \"svd_sharded_s\": " << t.svd_sharded_s << ",\n"
-       << "    \"topology\": \"" << t.topology << "\",\n"
        << "    \"rtree_s\": " << t.rtree_s << ",\n"
        << "    \"aggregate_s\": " << t.aggregate_s << ",\n"
        << "    \"points\": " << t.points << ",\n"

@@ -9,20 +9,17 @@
 // cost is O(#entries), independent of the dense u x v size, which is what
 // lets the paper finish the transform "within a few seconds".
 //
-// Two layout/scheduling optimizations over the textbook loop:
-//  * the residual left by the already-trained dimensions is cached per
-//    entry and updated once per dimension, so each SGD step costs O(1)
-//    instead of O(d) dot-product work;
-//  * epochs can run hogwild-style across contiguous entry shards on a
-//    thread pool (SvdConfig::deterministic = false); the default
-//    deterministic mode keeps the exact sequential entry order so results
-//    are reproducible and independent of the pool.
+// Training is one sequential sweep per epoch over the entries in row-major
+// order, so the factors are bit-reproducible. The residual left by the
+// already-trained dimensions is cached per entry and updated once per
+// dimension, so each SGD step costs O(1) instead of O(d) dot-product work.
+// Components train their synopses in parallel one per shard; a single
+// SVD does not split across threads.
 #pragma once
 
 #include <cstddef>
 
 #include "common/rng.h"
-#include "common/sharded_executor.h"
 #include "common/thread_pool.h"
 #include "linalg/matrix.h"
 
@@ -39,7 +36,7 @@ struct SvdConfig {
   double regularization = 0.02;
   /// Initial factor value scale.
   double init_scale = 0.1;
-  /// Seed for factor initialization and entry shuffling.
+  /// Seed for factor initialization.
   std::uint64_t seed = 42;
   /// Stop a dimension's training early once the epoch RMSE improvement
   /// drops below this threshold (0 disables early stopping).
@@ -49,13 +46,6 @@ struct SvdConfig {
   /// generous raters, popular items) so the latent factors concentrate on
   /// interaction structure — usually a better reduction for grouping.
   bool use_biases = false;
-  /// When true (the default), SGD epochs process entries in the sequential
-  /// row-major order regardless of any thread pool, so factors are
-  /// bit-reproducible. When false and a pool is passed, epochs run
-  /// hogwild-style across entry shards: racy but convergent, and the
-  /// factor races are the only nondeterminism (fold-in stays exact either
-  /// way because rows train independently).
-  bool deterministic = true;
 };
 
 /// Result of a factorization:
@@ -84,30 +74,10 @@ void save(std::ostream& os, const SvdModel& model,
           common::Codec codec = common::default_codec());
 SvdModel load_svd_model(std::istream& is);
 
-/// Trains a rank-`config.rank` factorization of the observed entries.
-/// `pool` enables hogwild sharding when config.deterministic is false.
-/// The hogwild path uses relaxed atomic loads/stores on the shared column
-/// factors (and column biases), so it is data-race-free in the C++ memory
-/// model — the *algorithmic* races (lost updates) are the intended hogwild
-/// semantics; the sequential/deterministic path stays plain (and
-/// bit-identical to previous releases).
-SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config,
-                         common::ThreadPool* pool = nullptr);
-
-/// Topology-aware variant: entry shards are partitioned by node (contiguous
-/// row ranges, entry-balanced across the executor's groups), each node
-/// trains hogwild-style against a node-local working copy of the current
-/// dimension's column factors (allocated from the node's arena, so the
-/// per-step factor traffic never crosses the interconnect), and the
-/// per-node factor deltas are merged into the global model at every epoch
-/// boundary. Degrades exactly:
-///  * config.deterministic — the sequential exact order, run node-locally
-///    on group 0 (bit-identical to incremental_svd without a pool);
-///  * one group — plain hogwild on that group's pool (bit-equivalent in
-///    distribution to incremental_svd with a same-size pool).
-SvdModel incremental_svd_sharded(const SparseDataset& data,
-                                 const SvdConfig& config,
-                                 common::ShardedExecutor& exec);
+/// Trains a rank-`config.rank` factorization of the observed entries on
+/// the calling thread, in the sequential row-major entry order: the same
+/// inputs always give bit-identical factors.
+SvdModel incremental_svd(const SparseDataset& data, const SvdConfig& config);
 
 /// Root-mean-square reconstruction error of the model over the entries.
 double reconstruction_rmse(const SvdModel& model, const SparseDataset& data);

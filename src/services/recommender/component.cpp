@@ -201,7 +201,7 @@ RecommenderComponent::RecommenderComponent(synopsis::SparseRows users,
                                            common::ThreadPool* pool)
     : core_(std::make_unique<Core>()) {
   synopsis::SynopsisStructure structure =
-      synopsis::SynopsisBuilder(config).build(users, pool);
+      synopsis::SynopsisBuilder(config).build(users);
   synopsis::Synopsis syn = synopsis::aggregate_all(
       users, structure.index, synopsis::AggregationKind::kMean, pool);
   common::MutexLock lock(core_->writer_mutex);

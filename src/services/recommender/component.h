@@ -126,8 +126,9 @@ class RecommenderComponent {
       std::uint64_t to_version)>;
 
   /// Builds the synopsis (steps 1–3) over the given user subset. `pool`
-  /// parallelizes construction and later updates; the component keeps the
-  /// pointer (caller owns the pool's lifetime).
+  /// parallelizes the aggregation step and later updates (the SVD always
+  /// runs on the calling thread); the component keeps the pointer (caller
+  /// owns the pool's lifetime).
   RecommenderComponent(synopsis::SparseRows users,
                        const synopsis::BuildConfig& config,
                        common::ThreadPool* pool = nullptr);

@@ -196,7 +196,7 @@ SearchComponent::SearchComponent(synopsis::SparseRows docs,
                                  ScorerParams scorer, common::ThreadPool* pool)
     : core_(std::make_unique<Core>()) {
   synopsis::SynopsisStructure structure =
-      synopsis::SynopsisBuilder(config).build(docs, pool);
+      synopsis::SynopsisBuilder(config).build(docs);
   synopsis::Synopsis syn = synopsis::aggregate_all(
       docs, structure.index, synopsis::AggregationKind::kMerge, pool);
   common::MutexLock lock(core_->writer_mutex);

@@ -178,8 +178,9 @@ class SearchComponent {
   /// `doc_id_base`: offset of this shard's pages in the global id space.
   /// `scorer`: ranking function (Lucene-classic TF-IDF by default, BM25
   /// available); applied to both exact scoring and aggregated pages.
-  /// `pool` parallelizes synopsis construction and later updates; the
-  /// component keeps the pointer (caller owns the pool's lifetime).
+  /// `pool` parallelizes the aggregation step and later updates (the SVD
+  /// always runs on the calling thread); the component keeps the pointer
+  /// (caller owns the pool's lifetime).
   SearchComponent(synopsis::SparseRows docs, std::uint64_t doc_id_base,
                   const synopsis::BuildConfig& config,
                   ScorerParams scorer = {},

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "common/sharded_executor.h"
 #include "common/thread_pool.h"
 #include "linalg/svd.h"
 #include "rtree/rtree.h"
@@ -57,20 +56,18 @@ class SynopsisBuilder {
 
   const BuildConfig& config() const { return config_; }
 
-  /// Runs steps 1–2 on a subset of input data. The returned structure's
-  /// index file is guaranteed to partition the rows of `data`. When `pool`
-  /// is given it parallelizes the SVD (hogwild, only if the SVD config has
-  /// deterministic = false).
-  SynopsisStructure build(const SparseRows& data,
-                          common::ThreadPool* pool = nullptr) const;
+  /// Runs steps 1–2 on a subset of input data on the calling thread. The
+  /// returned structure's index file is guaranteed to partition the rows
+  /// of `data`, and the same inputs always give the same structure.
+  SynopsisStructure build(const SparseRows& data) const;
 
-  /// Topology-aware build: step 1 runs the node-partitioned SVD
-  /// (linalg::incremental_svd_sharded) across the executor's groups —
-  /// per-node factor working sets, epoch-boundary merges. Steps 2–3 are
-  /// unchanged. With deterministic SVD config or a one-group executor this
-  /// produces exactly what build(data, pool) would.
-  SynopsisStructure build_sharded(const SparseRows& data,
-                                  common::ShardedExecutor& exec) const;
+  /// Same as build(data): the pool is ignored, because the SVD is one
+  /// sequential sweep. Kept so callers that pass their shard's pool (the
+  /// serving benchmark's setup replay) still compile.
+  SynopsisStructure build(const SparseRows& data,
+                          common::ThreadPool* /*pool*/) const {
+    return build(data);
+  }
 
   /// Derives the index file for the structure's current tree/level.
   /// Exposed for the updater, which re-derives groups after mutations.

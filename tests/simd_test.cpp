@@ -364,7 +364,6 @@ TEST(SimdParityMatrix, DeterministicSvdAndFoldInBitIdenticalInEveryTier) {
   linalg::SvdConfig cfg;
   cfg.rank = 3;
   cfg.epochs_per_dim = 25;
-  cfg.deterministic = true;
 
   // Fold-in input: a dozen appended rows.
   auto grown = rows;
